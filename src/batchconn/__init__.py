@@ -13,7 +13,7 @@ from .errors import (
 )
 from .etforest import EulerTourForest
 from .oracle import OracleGraph
-from .primitives import BatchDictionary, pack, semisort, spanning_forest
+from .primitives import BatchDictionary, semisort, spanning_forest
 from .workload import ScriptError, WorkloadScript, generate, parse_script
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "WorkCounters",
     "WorkloadScript",
     "generate",
-    "pack",
     "parse_script",
     "semisort",
     "spanning_forest",

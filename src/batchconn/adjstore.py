@@ -14,9 +14,6 @@ from .errors import DuplicateEdgeError, GraphError, MissingEdgeError
 
 _FLOOR = 4
 
-TREE = "tree"
-NONTREE = "nontree"
-
 
 class AdjacencyArray:
     __slots__ = ("slots", "count", "cap")
@@ -37,9 +34,6 @@ class AdjacencyStore:
     def __init__(self):
         self._arrays = {}
         self.slot_writes = 0
-
-    def _get(self, vertex, level, kind):
-        return self._arrays.get((vertex, level, kind))
 
     def count(self, vertex, level, kind) -> int:
         arr = self._arrays.get((vertex, level, kind))

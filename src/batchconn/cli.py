@@ -232,8 +232,6 @@ def main(argv=None) -> int:
                    help="override the script's engine seed")
     r.add_argument("--out", default=None,
                    help="also write a machine-readable JSON report here")
-    r.add_argument("--threads", type=int, default=1,
-                   help="worker-count hint; 1 forces the sequential schedule")
 
     st = sub.add_parser("stats", help="summarize a JSON run report")
     st.add_argument("report", help="JSON report path from run --out")
@@ -278,7 +276,14 @@ def main(argv=None) -> int:
         if args.command == "stats":
             with open(args.report) as fh:
                 payload = json.load(fh)
-            sys.stdout.write(stats_text(payload.get("counters", {})))
+            counters = payload.get("counters", {}) if isinstance(payload, dict) else None
+            if not isinstance(counters, dict):
+                raise ScriptError(f"{args.report}: not a run report object")
+            try:
+                text = stats_text(counters)
+            except (AttributeError, TypeError, ValueError) as e:
+                raise ScriptError(f"{args.report}: malformed counters: {e}")
+            sys.stdout.write(text)
             return 0
     except (ScriptError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,6 +12,11 @@ Maintained invariants:
     own level;
   * a tree edge of level l is linked in exactly F_l .. F_L.
 
+A level-i edge is stored twice: in its endpoints' level-i adjacency arrays
+and in the charges of F_i. Apart from the grouped insertion of a new batch,
+edges enter and leave both only through F_i's ``insert_level_edges`` and
+``remove_level_edges``, which keeps the two copies in step.
+
 Batches are validated up front and applied atomically. Deleting tree edges
 triggers a bottom-up replacement search over the affected levels, using one
 of two strategies: ``simple`` restarts a doubling scan per round and moves
@@ -35,7 +40,7 @@ from .errors import (
     SelfLoopError,
 )
 from .etforest import EulerTourForest
-from .primitives import BatchDictionary, semisort, spanning_forest
+from .primitives import BatchDictionary, DisjointSets, semisort, spanning_forest
 
 TREE = "tree"
 NONTREE = "nontree"
@@ -175,7 +180,7 @@ class AuditReport:
         return self.failures[0] if self.failures else None
 
 
-class _SuperMap:
+class _SuperMap(DisjointSets):
     """Union-find over original split components with sizes and found edges.
 
     Tracks, per supercomponent, the replacement tree edges that merged it, so
@@ -184,33 +189,19 @@ class _SuperMap:
     """
 
     def __init__(self, sizes):
-        self.parent = {h: h for h in sizes}
-        self.sz = dict(sizes)
+        super().__init__(sizes)
         self.tree_edges = {h: [] for h in sizes}
-
-    def find(self, h):
-        root = h
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[h] != root:
-            self.parent[h], h = root, self.parent[h]
-        return root
-
-    def size(self, root):
-        return self.sz[root]
 
     def union(self, a, b, edge):
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        root = super().union(ra, rb)
+        if root is None:
             raise AssertionError("supercomponent union on merged components")
-        if self.sz[ra] < self.sz[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.sz[ra] += self.sz[rb]
-        self.tree_edges[ra].extend(self.tree_edges[rb])
-        self.tree_edges[rb] = []
-        self.tree_edges[ra].append(edge)
-        return ra
+        lost = rb if root == ra else ra
+        self.tree_edges[root].extend(self.tree_edges[lost])
+        self.tree_edges[lost] = []
+        self.tree_edges[root].append(edge)
+        return root
 
     def take_tree_edges(self, root):
         out = self.tree_edges[root]
@@ -271,12 +262,10 @@ class LevelStructure:
     # ------------------------------------------------------------------
 
     def batch_connected(self, queries):
-        for u, v in queries:
-            self._check_vertex(u)
-            self._check_vertex(v)
+        answers = self.forests[self.levels].batch_connected(queries)
         self.counters.query_batches += 1
         self.counters.queries += len(queries)
-        return self.forests[self.levels].batch_connected(queries)
+        return answers
 
     # ------------------------------------------------------------------
     # insertion
@@ -344,16 +333,13 @@ class LevelStructure:
         self._batch = b
         try:
             self.edges.apply([("delete", k) for k in keys])
-            # drop adjacency entries and charges at each edge's own level
-            deltas_by_level = {}
+            # drop adjacency entries and charges at each edge's own level;
+            # grouping keeps every array's deletions in batch order
+            by_level = {}
             for rec in records:
-                self.adj.delete_edges(rec.u, rec.level, rec.status, [rec])
-                self.adj.delete_edges(rec.v, rec.level, rec.status, [rec])
-                deltas_by_level.setdefault(rec.level, []).extend(
-                    [(rec.u, rec.status, -1), (rec.v, rec.status, -1)]
-                )
-            for lvl, deltas in sorted(deltas_by_level.items()):
-                self.forests[lvl].adjust_edge_counts(deltas)
+                by_level.setdefault((rec.level, rec.status), []).append(rec)
+            for (lvl, kind), recs in by_level.items():
+                self.forests[lvl].remove_level_edges(recs[0].u, recs, kind)
             tree_recs = [rec for rec in records if rec.status == TREE]
             if not tree_recs:
                 return
@@ -381,17 +367,17 @@ class LevelStructure:
     # ------------------------------------------------------------------
 
     def _group_components(self, i, handles):
-        """Deduplicate handles by their current tree; keep the smallest."""
+        """Deduplicate handles by their current tree; keep the smallest.
+
+        Returns a dict from each tree's representative to its handle.
+        """
         if not handles:
-            return []
-        fi = self.forests[i]
+            return {}
         hs = sorted(set(handles))
-        reprs = fi.batch_find_repr(hs)
         by_repr = {}
-        for h, r in zip(hs, reprs):
-            if r not in by_repr:
-                by_repr[r] = h
-        return list(by_repr.values())
+        for h, r in zip(hs, self.forests[i].batch_find_repr(hs)):
+            by_repr.setdefault(r, h)
+        return by_repr
 
     def _set_level(self, rec, new_level):
         if new_level != rec.level - 1:
@@ -408,92 +394,61 @@ class LevelStructure:
         fi = self.forests[i]
         cnt = fi.num_tree_edges(handle)
         if cnt == 0:
-            return 0
+            return
         edges = fi.fetch_level_edges(handle, cnt, TREE)
-        fi.remove_level_edges(handle, edges, TREE)
-        lower = self.forests[i - 1]
-        deltas = []
+        self._push_edges(i, edges, TREE)
+        self.forests[i - 1].batch_link([rec.key for rec in edges])
+
+    def _push_edges(self, i, edges, kind):
+        """Move level-i edges of one kind to level i-1, keeping their status."""
+        if not edges:
+            return
+        self.forests[i].remove_level_edges(edges[0].u, edges, kind)
         for rec in edges:
             self._set_level(rec, i - 1)
-            self.adj.insert_edges(rec.u, i - 1, TREE, [rec])
-            self.adj.insert_edges(rec.v, i - 1, TREE, [rec])
-            deltas.append((rec.u, TREE, 1))
-            deltas.append((rec.v, TREE, 1))
-        lower.adjust_edge_counts(deltas)
-        lower.batch_link([rec.key for rec in edges])
-        return len(edges)
+        self.forests[i - 1].insert_level_edges(edges, kind)
 
-    def _push_nontree_edges(self, i, edges):
+    def _promote_to_tree(self, i, edges):
+        """Flip level-i non-tree edges to tree status (level unchanged)."""
         if not edges:
             return
         fi = self.forests[i]
         fi.remove_level_edges(edges[0].u, edges, NONTREE)
-        lower = self.forests[i - 1]
-        deltas = []
         for rec in edges:
-            self._set_level(rec, i - 1)
-            self.adj.insert_edges(rec.u, i - 1, NONTREE, [rec])
-            self.adj.insert_edges(rec.v, i - 1, NONTREE, [rec])
-            deltas.append((rec.u, NONTREE, 1))
-            deltas.append((rec.v, NONTREE, 1))
-        lower.adjust_edge_counts(deltas)
-
-    def _promote_to_tree(self, i, rec):
-        """Flip a level-i non-tree edge to tree status (level unchanged)."""
-        fi = self.forests[i]
-        self.adj.delete_edges(rec.u, i, NONTREE, [rec])
-        self.adj.delete_edges(rec.v, i, NONTREE, [rec])
-        rec.status = TREE
-        self.adj.insert_edges(rec.u, i, TREE, [rec])
-        self.adj.insert_edges(rec.v, i, TREE, [rec])
-        fi.adjust_edge_counts(
-            [
-                (rec.u, NONTREE, -1),
-                (rec.v, NONTREE, -1),
-                (rec.u, TREE, 1),
-                (rec.v, TREE, 1),
-            ]
-        )
+            rec.status = TREE
+        fi.insert_level_edges(edges, TREE)
 
     def _replacements(self, i, window):
-        """Edges of the window whose endpoints lie in different trees of F_i."""
+        """``(edge, repr_u, repr_v)`` for the window edges whose endpoints lie
+        in different trees of F_i."""
         if not window:
             return []
-        fi = self.forests[i]
         verts = []
         for rec in window:
             verts.append(rec.u)
             verts.append(rec.v)
-        reprs = fi.batch_find_repr(verts)
-        out = []
-        for j, rec in enumerate(window):
-            if reprs[2 * j] != reprs[2 * j + 1]:
-                out.append(rec)
-        return out
+        reprs = self.forests[i].batch_find_repr(verts)
+        return [
+            (rec, reprs[2 * j], reprs[2 * j + 1])
+            for j, rec in enumerate(window)
+            if reprs[2 * j] != reprs[2 * j + 1]
+        ]
 
     # ------------------------------------------------------------------
     # replacement search, per-round doubling variant
     # ------------------------------------------------------------------
 
-    def component_search(self, i, c, s=None):
-        """Search component ``c`` for replacement edges among level-i non-tree edges.
+    def component_search(self, i, c):
+        """Search component ``c`` for a replacement among level-i non-tree edges.
 
-        With ``s`` unset, runs doubling phases: each phase examines the first
-        w available edges, moves the non-replacements down to level i-1, and
-        stops at the first replacement (returned as a one-element list) or
-        when everything has been examined (empty list). With ``s`` set,
-        fetches the first min(s, available) edges once, pushes nothing, and
-        returns every replacement among them.
+        Runs doubling phases: each phase examines the first w available
+        edges, moves the non-replacements down to level i-1, and stops at the
+        first replacement (returned as a one-element list of
+        ``(edge, repr_u, repr_v)``) or when everything has been examined
+        (empty list).
         """
         fi = self.forests[i]
         self.counters.record_search_call(i, self._batch)
-        if s is not None:
-            w_max = fi.num_nontree_edges(c)
-            w = min(s, w_max)
-            if w == 0:
-                return []
-            window = fi.fetch_level_edges(c, w, NONTREE)
-            return self._replacements(i, window)
         w = 1
         while True:
             w_max = fi.num_nontree_edges(c)
@@ -504,11 +459,11 @@ class LevelStructure:
             window = fi.fetch_level_edges(c, w_eff, NONTREE)
             repl = self._replacements(i, window)
             if repl:
-                repl_keys = {rec.key for rec in repl}
+                repl_keys = {rec.key for rec, _, _ in repl}
                 rest = [rec for rec in window if rec.key not in repl_keys]
-                self._push_nontree_edges(i, rest)
+                self._push_edges(i, rest, NONTREE)
                 return [repl[0]]
-            self._push_nontree_edges(i, window)
+            self._push_edges(i, window, NONTREE)
             if w_eff >= w_max:
                 return []
             w <<= 1
@@ -524,7 +479,7 @@ class LevelStructure:
         if found:
             fi.batch_link([rec.key for rec in found])
         half = 1 << (i - 1)
-        groups = self._group_components(i, components)
+        groups = list(self._group_components(i, components).values())
         active = []
         done = []
         for h in groups:
@@ -540,31 +495,23 @@ class LevelStructure:
             self.counters.record_round(i, self._batch)
             for h in active:
                 self._push_tree_edges(i, h)
+            # the searches push edges down but never link or cut F_i, so the
+            # representatives they report are still current here
             replacements = []
             seen = set()
             for h in active:
-                for rec in self.component_search(i, h):
+                for rec, ru, rv in self.component_search(i, h):
                     if rec.key not in seen:
                         seen.add(rec.key)
-                        replacements.append(rec)
+                        replacements.append((rec, ru, rv))
             if replacements:
-                verts = []
-                for rec in replacements:
-                    verts.append(rec.u)
-                    verts.append(rec.v)
-                reprs = fi.batch_find_repr(verts)
-                pairs = [
-                    (reprs[2 * j], reprs[2 * j + 1])
-                    for j in range(len(replacements))
-                ]
-                chosen, _ = spanning_forest(pairs)
-                selected = [replacements[j] for j in chosen]
-                for rec in selected:
-                    self._promote_to_tree(i, rec)
+                chosen, _ = spanning_forest([(ru, rv) for _, ru, rv in replacements])
+                selected = [replacements[j][0] for j in chosen]
+                self._promote_to_tree(i, selected)
                 fi.batch_link([rec.key for rec in selected])
                 found.extend(selected)
             survivors = []
-            for h in self._group_components(i, active):
+            for h in self._group_components(i, active).values():
                 if fi.component_size(h) > half or fi.num_nontree_edges(h) == 0:
                     done.append(h)
                 else:
@@ -592,13 +539,9 @@ class LevelStructure:
         if found:
             fi.batch_link([rec.key for rec in found])
         half = 1 << (i - 1)
-        groups = self._group_components(i, components)
-        sizes = {}
-        piece_by_repr = {}
-        reprs = fi.batch_find_repr(groups) if groups else []
-        for h, r in zip(groups, reprs):
-            piece_by_repr[r] = h
-            sizes[h] = fi.component_size(h)
+        piece_by_repr = self._group_components(i, components)
+        groups = list(piece_by_repr.values())
+        sizes = {h: fi.component_size(h) for h in groups}
         active = [h for h in groups if sizes[h] <= half]
         done = [h for h in groups if sizes[h] > half]
         for h in active:
@@ -638,15 +581,10 @@ class LevelStructure:
             repl = self._replacements(i, ordered)
             # spanning forest over supercomponent labels; intra-super edges
             # become self loops and are never selected
-            verts = []
-            for rec in repl:
-                verts.append(rec.u)
-                verts.append(rec.v)
-            end_reprs = fi.batch_find_repr(verts)
             pairs = []
-            for j, rec in enumerate(repl):
-                hu = piece_by_repr.get(end_reprs[2 * j])
-                hv = piece_by_repr.get(end_reprs[2 * j + 1])
+            for rec, ru, rv in repl:
+                hu = piece_by_repr.get(ru)
+                hv = piece_by_repr.get(rv)
                 if hu is None or hv is None:
                     # a level-i non-tree edge always joins trees of the
                     # incoming pieces; anything else is a structural bug
@@ -656,7 +594,7 @@ class LevelStructure:
                 pairs.append((supers.find(hu), supers.find(hv)))
             chosen, _ = spanning_forest(pairs)
             for j in chosen:
-                rec = repl[j]
+                rec = repl[j][0]
                 selected_all.append(rec)
                 selected_keys.add(rec.key)
                 supers.union(pairs[j][0], pairs[j][1], rec)
@@ -679,7 +617,7 @@ class LevelStructure:
             for h in active:
                 exhausted = min(w, w_maxes[h]) >= w_maxes[h]
                 if (
-                    supers.size(supers.find(h)) > half
+                    supers.size(h) > half
                     or exhausted
                     or fi.num_nontree_edges(h) == 0
                 ):
@@ -690,43 +628,28 @@ class LevelStructure:
             prev_window = cur_window
             r += 1
         # level end: promote unmoved tree edges here, move the buffer down
-        lower = self.forests[i - 1] if i > 1 else None
-        for rec in selected_all:
-            if rec.key not in buffered:
-                self._promote_to_tree(i, rec)
-        moved_tree = []
-        deltas = []
-        for key, rec in buffered.items():
-            if key in selected_keys:
+        self._promote_to_tree(i, [rec for rec in selected_all if rec.key not in buffered])
+        if buffered:
+            lower = self.forests[i - 1]
+            moved_tree = [rec for key, rec in buffered.items() if key in selected_keys]
+            for rec in moved_tree:
                 rec.status = TREE
-                moved_tree.append(rec)
-                kind = TREE
-            else:
-                kind = NONTREE
-            self.adj.insert_edges(rec.u, i - 1, kind, [rec])
-            self.adj.insert_edges(rec.v, i - 1, kind, [rec])
-            deltas.append((rec.u, kind, 1))
-            deltas.append((rec.v, kind, 1))
-        if deltas:
-            lower.adjust_edge_counts(deltas)
-        if moved_tree:
-            lower.batch_link([rec.key for rec in moved_tree])
+            lower.insert_level_edges(
+                [rec for key, rec in buffered.items() if key not in selected_keys], NONTREE
+            )
+            lower.insert_level_edges(moved_tree, TREE)
+            if moved_tree:
+                lower.batch_link([rec.key for rec in moved_tree])
         fi.batch_link([rec.key for rec in selected_all])
         found.extend(selected_all)
         return done, found
 
     def _buffer_push(self, i, rec, buffered):
         """Pull a level-i non-tree entry out of its level into the buffer."""
-        if rec.key in buffered:
-            return 0
-        buffered[rec.key] = rec
-        self.adj.delete_edges(rec.u, i, NONTREE, [rec])
-        self.adj.delete_edges(rec.v, i, NONTREE, [rec])
-        self.forests[i].adjust_edge_counts(
-            [(rec.u, NONTREE, -1), (rec.v, NONTREE, -1)]
-        )
-        self._set_level(rec, i - 1)
-        return 1
+        if rec.key not in buffered:
+            buffered[rec.key] = rec
+            self.forests[i].remove_level_edges(rec.u, [rec], NONTREE)
+            self._set_level(rec, i - 1)
 
     # ------------------------------------------------------------------
     # audit
@@ -743,48 +666,26 @@ class LevelStructure:
         for rec in recs:
             by_level.setdefault(rec.level, []).append(rec)
         # component size bound: components of G_i must have <= 2^i vertices
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        size = [1] * self.n
+        comps = DisjointSets()
+        largest = 1
         for i in range(1, self.levels + 1):
             for rec in by_level.get(i, []):
-                ru, rv = find(rec.u), find(rec.v)
-                if ru != rv:
-                    parent[rv] = ru
-                    size[ru] += size[rv]
-            cap = 1 << i
-            for v in range(self.n):
-                if parent[v] == v and size[v] > cap:
-                    failures.append(
-                        f"component-size-bound: level {i} component of {size[v]} > {cap}"
-                    )
-                    break
+                root = comps.union(rec.u, rec.v)
+                if root is not None:
+                    largest = max(largest, comps.size(root))
+            if largest > 1 << i:
+                failures.append(
+                    f"component-size-bound: level {i} component of {largest} > {1 << i}"
+                )
         # minimality: a non-tree edge's endpoints are connected in the forest
         # of its level (tree-path levels never exceed the edge's level)
-        tparent = list(range(self.n))
-
-        def tfind(x):
-            while tparent[x] != x:
-                tparent[x] = tparent[tparent[x]]
-                x = tparent[x]
-            return x
-
+        trees = DisjointSets()
         for i in range(1, self.levels + 1):
             for rec in by_level.get(i, []):
-                if rec.status == TREE:
-                    ru, rv = tfind(rec.u), tfind(rec.v)
-                    if ru == rv:
-                        failures.append(f"minimality: tree edge {rec.key} closes a cycle")
-                    else:
-                        tparent[rv] = ru
+                if rec.status == TREE and trees.union(rec.u, rec.v) is None:
+                    failures.append(f"minimality: tree edge {rec.key} closes a cycle")
             for rec in by_level.get(i, []):
-                if rec.status == NONTREE and tfind(rec.u) != tfind(rec.v):
+                if rec.status == NONTREE and trees.find(rec.u) != trees.find(rec.v):
                     failures.append(
                         f"minimality: non-tree edge {rec.key} at level {i} "
                         f"not connected by tree edges of level <= {i}"

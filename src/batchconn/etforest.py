@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 
 from .errors import CycleError, GraphError, InvalidVertexError, MissingEdgeError
+from .primitives import DisjointSets
 
 _MAX_HEIGHT = 32
 
@@ -90,13 +91,12 @@ def _join(s1, s2):
 
 
 class EulerTourForest:
-    def __init__(self, n, level=1, adj=None, seed=0, max_height=_MAX_HEIGHT):
+    def __init__(self, n, level=1, adj=None, seed=0):
         if n < 1:
             raise InvalidVertexError(f"need at least one vertex, got n={n}")
         self.n = n
         self.level = level
         self._adj = adj
-        self._max_height = max_height
         self._rng = random.Random((seed * 0x9E3779B1 + level * 0x85EBCA77) & 0x7FFFFFFFFFFF)
         self._next_uid = 0
         self._loops = [self._close_single(self._make_node(v, None)) for v in range(n)]
@@ -108,7 +108,7 @@ class EulerTourForest:
 
     def _random_height(self):
         h = 1
-        while h < self._max_height and self._rng.getrandbits(1):
+        while h < _MAX_HEIGHT and self._rng.getrandbits(1):
             h += 1
         return h
 
@@ -284,12 +284,12 @@ class EulerTourForest:
     def batch_connected(self, queries):
         out = []
         for u, v in queries:
-            self._check_vertex(u)
-            self._check_vertex(v)
-            if u == v:
-                out.append(True)
-            else:
+            if u != v:
                 out.append(self.find_repr(u) == self.find_repr(v))
+            else:
+                self._check_vertex(u)
+                self._check_vertex(v)
+                out.append(True)
         return out
 
     def component_size(self, v) -> int:
@@ -307,9 +307,6 @@ class EulerTourForest:
     # links and cuts
     # ------------------------------------------------------------------
 
-    def has_edge(self, u, v) -> bool:
-        return (u, v) in self._arcs or (v, u) in self._arcs
-
     def edge_pairs(self):
         """Canonical (u, v) pairs currently linked in this forest."""
         return [(u, v) for (u, v) in self._arcs if u < v]
@@ -326,20 +323,12 @@ class EulerTourForest:
             for x in (u, v):
                 if x not in reprs:
                     reprs[x] = self.find_repr(x)
-        parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                x = parent[x]
-            return x
-
+        trees = DisjointSets()
         for u, v in edges:
             if u == v:
                 raise CycleError(f"self loop at {u}")
-            ru, rv = find(reprs[u]), find(reprs[v])
-            if ru == rv:
+            if trees.union(reprs[u], reprs[v]) is None:
                 raise CycleError(f"link ({u},{v}) would close a cycle")
-            parent[ru] = rv
         for u, v in edges:
             self._link(u, v)
 
@@ -478,16 +467,40 @@ class EulerTourForest:
             if y is node or y.height > k:
                 return need
 
-    def remove_level_edges(self, v, edges, kind):
-        """Drop level-matching edges from the adjacency arrays and charges."""
-        if not edges:
-            return
-        deltas = []
+    def _check_level(self, edges):
         for e in edges:
             if e.level != self.level:
                 raise GraphError(
                     f"edge ({e.u},{e.v}) at level {e.level}, not {self.level}"
                 )
+
+    def insert_level_edges(self, edges, kind):
+        """Store level-matching edges in both endpoints' arrays and charge them.
+
+        Each endpoint's array receives its edges in the given order, so the
+        arrays end up as if the edges had been inserted one at a time.
+        """
+        if not edges:
+            return
+        self._check_level(edges)
+        runs = {}
+        for e in edges:
+            runs.setdefault(e.u, []).append(e)
+            runs.setdefault(e.v, []).append(e)
+        for vertex, run in runs.items():
+            self._adj.insert_edges(vertex, self.level, kind, run)
+        self.adjust_edge_counts([(vertex, kind, len(run)) for vertex, run in runs.items()])
+
+    def remove_level_edges(self, v, edges, kind):
+        """Drop level-matching edges from the adjacency arrays and charges.
+
+        Edges leave one at a time in the given order: each delete compacts
+        the array's tail, so the order fixes the survivors' slots.
+        """
+        if not edges:
+            return
+        self._check_level(edges)
+        deltas = []
         for e in edges:
             self._adj.delete_edges(e.u, self.level, kind, [e])
             self._adj.delete_edges(e.v, self.level, kind, [e])

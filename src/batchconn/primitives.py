@@ -1,7 +1,7 @@
 """Deterministic bulk-operation primitives used throughout the engine.
 
 Everything here is a pure batch transformation over plain Python values:
-grouping (semisort), filtering (pack), a batched dictionary, and a static
+grouping (semisort), a batched dictionary, a union-find, and a static
 spanning forest. Fixed inputs always produce bit-identical outputs.
 """
 
@@ -27,15 +27,6 @@ def semisort(items):
         for p in payloads:
             out.append((key, p))
     return out
-
-
-def pack(items, flags):
-    """Return the items whose flag is true, in their original order."""
-    if len(items) != len(flags):
-        raise ValueError(
-            f"pack: {len(items)} items but {len(flags)} flags"
-        )
-    return [x for x, keep in zip(items, flags) if keep]
 
 
 class BatchDictionary:
@@ -109,6 +100,48 @@ class BatchDictionary:
         return results
 
 
+class DisjointSets:
+    """Union-find over hashable keys: union by size with path compression.
+
+    ``sizes`` optionally maps keys to their starting weights; any other key
+    joins as a weight-1 singleton the first time it is seen. On equal weights
+    the root of ``union``'s first argument stays the root. Keys must not be
+    None, which ``union`` returns for keys already joined.
+    """
+
+    def __init__(self, sizes=()):
+        self._size = dict(sizes)
+        self._parent = {x: x for x in self._size}
+
+    def find(self, x):
+        parent = self._parent
+        if x not in parent:
+            parent[x] = x
+            self._size[x] = 1
+            return x
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def size(self, x):
+        """Total weight of the set holding ``x``."""
+        return self._size[self.find(x)]
+
+    def union(self, a, b):
+        """Join the sets of ``a`` and ``b``; the new root, or None if already joined."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+        return ra
+
+
 def spanning_forest(edges):
     """Select a maximal acyclic subset of ``edges`` by index order.
 
@@ -122,32 +155,7 @@ def spanning_forest(edges):
     Deterministic: union by size with index-order scanning; the lower edge
     index wins ties.
     """
-    parent = {}
-    size = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    forest = []
-    for idx, (a, b) in enumerate(edges):
-        for node in (a, b):
-            if node not in parent:
-                parent[node] = node
-                size[node] = 1
-        if a == b:
-            continue
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        forest.append(idx)
-    labels = {node: find(node) for node in parent}
+    sets = DisjointSets()
+    forest = [idx for idx, (a, b) in enumerate(edges) if sets.union(a, b) is not None]
+    labels = {node: sets.find(node) for edge in edges for node in edge}
     return forest, labels

@@ -56,6 +56,8 @@ def parse_script(text: str) -> WorkloadScript:
     if not m:
         raise ScriptError(f"bad header line: {lines[0]!r}")
     script = WorkloadScript(n=int(m.group(1)), seed=int(m.group(2)))
+    if script.n < 1:
+        raise ScriptError(f"header needs at least one vertex, got n={script.n}")
     current = None
     for no, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -133,10 +133,32 @@ def test_stats_full_teardown_delta(tmp_path, capsys):
     assert "delta=20.0000" in out.splitlines()
 
 
-def test_threads_flag_accepted(tmp_path):
+def test_zero_vertex_script_is_input_error(tmp_path, capsys):
+    script = tmp_path / "w.txt"
+    script.write_text("# n=0 seed=0\n")
+    assert main(["run", str(script)]) == 2
+    assert "n=0" in capsys.readouterr().err
+
+
+def test_stats_on_malformed_report_is_input_error(tmp_path, capsys):
+    for text in (
+        "[1]",
+        '{"counters": 3}',
+        '{"counters": {"m": "x", "P": 1}}',
+        '{"counters": {"levels": 1, "rounds_by_batch_level": {"7": 1}}}',
+    ):
+        report = tmp_path / "r.json"
+        report.write_text(text)
+        assert main(["stats", str(report)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_unknown_flag_rejected(tmp_path):
     script = tmp_path / "w.txt"
     script.write_text("# n=4 seed=0\nB I\nE 0 1\n")
-    assert main(["run", str(script), "--threads", "4"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(script), "--threads", "4"])
+    assert exc.value.code == 2
 
 
 def test_stats_text_pushes_per_deleted_edge():

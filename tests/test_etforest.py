@@ -305,10 +305,16 @@ def forest_with_store(n, level=1, seed=8):
 
 def register(forest, store, u, v, kind):
     e = StubEdge(u, v, level=forest.level)
-    store.insert_edges(u, forest.level, kind, [e])
-    store.insert_edges(v, forest.level, kind, [e])
-    forest.adjust_edge_counts([(u, kind, 1), (v, kind, 1)])
+    forest.insert_level_edges([e], kind)
     return e
+
+
+def arrays_and_charges(forest, store):
+    arrays = {
+        key: [(e.u, e.v) for e in arr.slots[:arr.count]] for key, arr in store.arrays()
+    }
+    charges = [tuple(forest._loops[v].aug[0]) for v in range(forest.n)]
+    return arrays, charges
 
 
 def test_fetch_zero():
@@ -389,3 +395,46 @@ def test_remove_wrong_level_rejected():
     e = StubEdge(0, 1, level=1)
     with pytest.raises(GraphError):
         f.remove_level_edges(0, [e], "nontree")
+
+
+def test_insert_wrong_level_rejected_without_change():
+    f, store = forest_with_store(4, level=2)
+    register(f, store, 0, 1, "nontree")
+    before = arrays_and_charges(f, store)
+    good, bad = StubEdge(1, 2, level=2), StubEdge(2, 3, level=1)
+    with pytest.raises(GraphError):
+        f.insert_level_edges([good, bad], "nontree")
+    assert arrays_and_charges(f, store) == before
+    assert good.pos == {} and bad.pos == {}
+    assert_clean(f)
+
+
+def test_grouped_insert_matches_per_edge_inserts():
+    rng = random.Random(23)
+    pairs = set()
+    while len(pairs) < 40:
+        u, v = rng.randrange(12), rng.randrange(12)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    pairs = sorted(pairs)
+    rng.shuffle(pairs)
+    kinds = [rng.choice(["tree", "nontree"]) for _ in pairs]
+    links = [(v, v + 1) for v in range(0, 11, 2)]
+
+    def build(grouped):
+        f, store = forest_with_store(12, level=3, seed=23)
+        f.batch_link(links)
+        edges = [StubEdge(u, v, level=3) for u, v in pairs]
+        if grouped:
+            for kind in ("tree", "nontree"):
+                f.insert_level_edges([e for e, k in zip(edges, kinds) if k == kind], kind)
+        else:
+            for e, kind in zip(edges, kinds):
+                store.insert_edges(e.u, 3, kind, [e])
+                store.insert_edges(e.v, 3, kind, [e])
+                f.adjust_edge_counts([(e.u, kind, 1), (e.v, kind, 1)])
+        assert_clean(f)
+        fetched = f.fetch_level_edges(0, f.num_nontree_edges(0), "nontree")
+        return arrays_and_charges(f, store), [(e.u, e.v) for e in fetched]
+
+    assert build(grouped=True) == build(grouped=False)

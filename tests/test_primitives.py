@@ -9,7 +9,7 @@ from batchconn.errors import (
     DuplicateEdgeError,
     MissingEdgeError,
 )
-from batchconn.primitives import BatchDictionary, pack, semisort, spanning_forest
+from batchconn.primitives import BatchDictionary, DisjointSets, semisort, spanning_forest
 
 
 # ----------------------------------------------------------------------
@@ -61,24 +61,36 @@ def test_semisort_deterministic():
 
 
 # ----------------------------------------------------------------------
-# pack
+# disjoint sets
 # ----------------------------------------------------------------------
 
-def test_pack_small():
-    assert pack([1, 2, 3], [True, False, True]) == [1, 3]
-    assert pack([], []) == []
+def test_disjoint_sets_first_root_wins_ties():
+    ds = DisjointSets()
+    assert ds.union("a", "b") == "a"
+    assert ds.union("d", "c") == "d"
+    # equal sizes: the first argument's root stays the root
+    assert ds.union("c", "b") == "d"
+    assert ds.size("a") == 4
+    assert {ds.find(x) for x in "abcd"} == {"d"}
 
 
-def test_pack_length_mismatch():
-    with pytest.raises(ValueError):
-        pack([1, 2], [True])
+def test_disjoint_sets_union_by_weight():
+    ds = DisjointSets({"x": 5, "y": 2})
+    # the heavier set wins even as the second argument
+    assert ds.union("y", "x") == "x"
+    assert ds.size("y") == 7
+    assert ds.union("z", "y") == "x"
+    assert ds.size("z") == 8
 
 
-@given(st.lists(st.tuples(st.integers(), st.booleans())))
-def test_pack_equals_sequential_filter(pairs):
-    items = [a for a, _ in pairs]
-    flags = [b for _, b in pairs]
-    assert pack(items, flags) == [a for a, b in pairs if b]
+def test_disjoint_sets_union_of_joined_keys_is_none():
+    ds = DisjointSets()
+    ds.union(1, 2)
+    ds.union(2, 3)
+    assert ds.union(3, 1) is None
+    assert ds.union(4, 4) is None
+    assert ds.size(1) == 3
+    assert ds.size(4) == 1
 
 
 # ----------------------------------------------------------------------

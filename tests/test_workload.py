@@ -35,6 +35,8 @@ def test_parse_errors():
         parse_script("# n=4 seed=0\nB I\nE 1\n")
     with pytest.raises(ScriptError):
         parse_script("# n=4 seed=0\nX\n")
+    with pytest.raises(ScriptError):
+        parse_script("# n=0 seed=0\n")
 
 
 def test_generate_single_insert_batch():
