@@ -8,6 +8,7 @@ from .errors import (
     DuplicateEdgeError,
     GraphError,
     InvalidVertexError,
+    MalformedEdgeError,
     MissingEdgeError,
     SelfLoopError,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "GraphError",
     "InvalidVertexError",
     "LevelStructure",
+    "MalformedEdgeError",
     "MissingEdgeError",
     "OracleGraph",
     "ScriptError",

@@ -29,7 +29,10 @@ every level decrease for amortization checks.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from .adjstore import AdjacencyStore
 from .errors import (
@@ -39,7 +42,7 @@ from .errors import (
     MissingEdgeError,
     SelfLoopError,
 )
-from .etforest import EulerTourForest
+from .etforest import EulerTourForest, as_pair, check_vertex
 from .primitives import BatchDictionary, DisjointSets, semisort, spanning_forest
 
 TREE = "tree"
@@ -87,12 +90,13 @@ class WorkCounters:
         self.queries = 0
         self.pushes = 0                  # P: total level decreases
         self.deletion_batch_sizes = []   # k_b per deletion batch
-        self.pushes_by_batch_level = {}  # (b, i) -> count
-        self.rounds_by_batch_level = {}
-        self.phases_by_batch_level = {}
         self.search_calls = 0            # replacement-search invocations
-        self.search_calls_by_batch_level = {}
         self.phases_total = 0
+        # (b, i) -> count, per deletion batch b and level i
+        self.pushes_by_batch_level = defaultdict(int)
+        self.rounds_by_batch_level = defaultdict(int)
+        self.phases_by_batch_level = defaultdict(int)
+        self.search_calls_by_batch_level = defaultdict(int)
         self.doubling_checks = 0
         self.doubling_violations = 0
         self.level_regressions = 0
@@ -100,27 +104,21 @@ class WorkCounters:
     def record_push(self, from_level, batch):
         self.pushes += 1
         if batch is not None:
-            key = (batch, from_level)
-            self.pushes_by_batch_level[key] = self.pushes_by_batch_level.get(key, 0) + 1
+            self.pushes_by_batch_level[batch, from_level] += 1
 
     def record_round(self, level, batch):
         if batch is not None:
-            key = (batch, level)
-            self.rounds_by_batch_level[key] = self.rounds_by_batch_level.get(key, 0) + 1
+            self.rounds_by_batch_level[batch, level] += 1
 
     def record_phase(self, level, batch):
         self.phases_total += 1
         if batch is not None:
-            key = (batch, level)
-            self.phases_by_batch_level[key] = self.phases_by_batch_level.get(key, 0) + 1
+            self.phases_by_batch_level[batch, level] += 1
 
     def record_search_call(self, level, batch):
         self.search_calls += 1
         if batch is not None:
-            key = (batch, level)
-            self.search_calls_by_batch_level[key] = (
-                self.search_calls_by_batch_level.get(key, 0) + 1
-            )
+            self.search_calls_by_batch_level[batch, level] += 1
 
     def delta(self):
         if self.deletion_batches == 0:
@@ -154,20 +152,10 @@ class WorkCounters:
             "doubling_violations": self.doubling_violations,
             "level_regressions": self.level_regressions,
             "deletion_batch_sizes": list(self.deletion_batch_sizes),
-            "pushes_by_batch_level": {
-                f"{b}:{i}": c for (b, i), c in sorted(self.pushes_by_batch_level.items())
-            },
-            "rounds_by_batch_level": {
-                f"{b}:{i}": c for (b, i), c in sorted(self.rounds_by_batch_level.items())
-            },
-            "phases_by_batch_level": {
-                f"{b}:{i}": c for (b, i), c in sorted(self.phases_by_batch_level.items())
-            },
-            "search_calls_by_batch_level": {
-                f"{b}:{i}": c
-                for (b, i), c in sorted(self.search_calls_by_batch_level.items())
-            },
         }
+        for name in ("pushes", "rounds", "phases", "search_calls"):
+            key = f"{name}_by_batch_level"
+            out[key] = {f"{b}:{i}": c for (b, i), c in sorted(getattr(self, key).items())}
         return out
 
 
@@ -234,16 +222,13 @@ class LevelStructure:
     # validation helpers
     # ------------------------------------------------------------------
 
-    def _check_vertex(self, v):
-        if not isinstance(v, int) or not (0 <= v < self.n):
-            raise InvalidVertexError(f"vertex {v!r} outside [0, {self.n})")
-
     def _canon_batch(self, pairs, expect_present):
         out = []
         seen = set()
-        for u, v in pairs:
-            self._check_vertex(u)
-            self._check_vertex(v)
+        for item in pairs:
+            u, v = as_pair(item)
+            check_vertex(u, self.n)
+            check_vertex(v, self.n)
             if u == v:
                 raise SelfLoopError(f"self loop at {u}")
             key = (u, v) if u < v else (v, u)
@@ -285,8 +270,7 @@ class LevelStructure:
             verts.append(v)
         reprs = fl.batch_find_repr(verts)
         repr_pairs = [(reprs[2 * j], reprs[2 * j + 1]) for j in range(len(edges))]
-        chosen, _ = spanning_forest(repr_pairs)
-        chosen = set(chosen)
+        chosen = set(spanning_forest(repr_pairs))
         records = []
         dict_ops = []
         for j, (u, v) in enumerate(edges):
@@ -303,17 +287,8 @@ class LevelStructure:
             keyed.append(((rec.v, rec.status), rec))
             deltas.append((rec.u, rec.status, 1))
             deltas.append((rec.v, rec.status, 1))
-        grouped = semisort(keyed)
-        run_key = None
-        run = []
-        for (vertex, status), rec in grouped + [((None, None), None)]:
-            if (vertex, status) != run_key:
-                if run:
-                    self.adj.insert_edges(run_key[0], top, run_key[1], run)
-                run_key = (vertex, status)
-                run = []
-            if rec is not None:
-                run.append(rec)
+        for (vertex, status), run in groupby(semisort(keyed), key=itemgetter(0)):
+            self.adj.insert_edges(vertex, top, status, [rec for _, rec in run])
         fl.adjust_edge_counts(deltas)
         fl.batch_link([rec.key for rec in records if rec.status == TREE])
 
@@ -505,7 +480,7 @@ class LevelStructure:
                         seen.add(rec.key)
                         replacements.append((rec, ru, rv))
             if replacements:
-                chosen, _ = spanning_forest([(ru, rv) for _, ru, rv in replacements])
+                chosen = spanning_forest([(ru, rv) for _, ru, rv in replacements])
                 selected = [replacements[j][0] for j in chosen]
                 self._promote_to_tree(i, selected)
                 fi.batch_link([rec.key for rec in selected])
@@ -592,8 +567,7 @@ class LevelStructure:
                         f"window edge {rec.key} touches a tree outside the search"
                     )
                 pairs.append((supers.find(hu), supers.find(hv)))
-            chosen, _ = spanning_forest(pairs)
-            for j in chosen:
+            for j in spanning_forest(pairs):
                 rec = repl[j][0]
                 selected_all.append(rec)
                 selected_keys.add(rec.key)
@@ -703,20 +677,19 @@ class LevelStructure:
         for i in range(1, self.levels + 1):
             for problem in self.forests[i].audit():
                 failures.append(f"forest {i}: {problem}")
-        # adjacency arrays: density, back-indices, membership, charges
+        # adjacency arrays: back-indices, membership, charges
         for problem in self.adj.audit():
             failures.append(problem)
         counted = {}
         for (vertex, level, kind), arr in self.adj.arrays():
-            for j in range(arr.count):
-                rec = arr.slots[j]
+            for rec in arr:
                 if rec.level != level or rec.status != kind or vertex not in (rec.u, rec.v):
                     failures.append(
                         f"arrays: edge {rec.key} misfiled under {(vertex, level, kind)}"
                     )
                 if rec.key not in self.edges:
                     failures.append(f"arrays: stale edge {rec.key}")
-            counted[(vertex, level, kind)] = arr.count
+            counted[(vertex, level, kind)] = len(arr)
         for rec in recs:
             for vertex in (rec.u, rec.v):
                 if rec.pos.get(vertex) is None:

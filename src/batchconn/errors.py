@@ -13,6 +13,10 @@ class InvalidVertexError(GraphError):
     """Vertex id outside [0, n)."""
 
 
+class MalformedEdgeError(GraphError):
+    """Batch item that is not a (u, v) pair."""
+
+
 class SelfLoopError(GraphError):
     """Edge with equal endpoints."""
 

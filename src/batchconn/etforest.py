@@ -23,7 +23,13 @@ from __future__ import annotations
 
 import random
 
-from .errors import CycleError, GraphError, InvalidVertexError, MissingEdgeError
+from .errors import (
+    CycleError,
+    GraphError,
+    InvalidVertexError,
+    MalformedEdgeError,
+    MissingEdgeError,
+)
 from .primitives import DisjointSets
 
 _MAX_HEIGHT = 32
@@ -33,6 +39,21 @@ _TREE = 1
 _VERTS = 2
 
 _KIND_INDEX = {"nontree": _NONTREE, "tree": _TREE}
+
+
+def check_vertex(v, n):
+    """Reject anything but an int in [0, n); ``bool`` is not a vertex."""
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+        raise InvalidVertexError(f"vertex {v!r} outside [0, {n})")
+
+
+def as_pair(item):
+    """``item`` unpacked as ``(u, v)``; anything else is a MalformedEdgeError."""
+    try:
+        u, v = item
+    except (TypeError, ValueError):
+        raise MalformedEdgeError(f"{item!r} is not a (u, v) pair") from None
+    return u, v
 
 
 class TourNode:
@@ -123,10 +144,6 @@ class EulerTourForest:
             node.nxt[k] = node
             node.prv[k] = node
         return node
-
-    def _check_vertex(self, v):
-        if not isinstance(v, int) or not (0 <= v < self.n):
-            raise InvalidVertexError(f"vertex {v!r} outside [0, {self.n})")
 
     # ------------------------------------------------------------------
     # splice machinery
@@ -235,60 +252,48 @@ class EulerTourForest:
     # representatives and totals
     # ------------------------------------------------------------------
 
-    def _top_ring(self, v):
-        self._check_vertex(v)
+    def _tree_info(self, v):
+        """(min-uid node, (non-tree, tree, vertex) totals, ring index) of v's tour."""
+        check_vertex(v, self.n)
         cur = self._loops[v]
         k = cur.height - 1
         while True:
-            c = cur
-            found = None
-            while True:
-                if c.height > k + 1:
-                    found = c
-                    break
+            c = cur.prv[k]
+            while c is not cur and c.height <= k + 1:
                 c = c.prv[k]
-                if c is cur:
-                    break
-            if found is None:
+            if c is cur:
                 break
-            cur = found
+            cur = c
             k = cur.height - 1
-        ring = [cur]
+        rep = cur
+        t0, t1, t2 = cur.aug[k]
         node = cur.nxt[k]
         while node is not cur:
-            ring.append(node)
-            node = node.nxt[k]
-        return k, ring
-
-    def _tree_info(self, v):
-        k, ring = self._top_ring(v)
-        rep = ring[0]
-        t0 = t1 = t2 = 0
-        for node in ring:
             if node.uid < rep.uid:
                 rep = node
             row = node.aug[k]
             t0 += row[0]
             t1 += row[1]
             t2 += row[2]
+            node = node.nxt[k]
         return rep, (t0, t1, t2), k
 
     def find_repr(self, v):
         """Identity of the tour's current top node; stable until a mutation."""
-        rep, _, _ = self._tree_info(v)
-        return rep.uid
+        return self._tree_info(v)[0].uid
 
     def batch_find_repr(self, vertices):
         return [self._tree_info(v)[0].uid for v in vertices]
 
     def batch_connected(self, queries):
         out = []
-        for u, v in queries:
+        for item in queries:
+            u, v = as_pair(item)
             if u != v:
                 out.append(self.find_repr(u) == self.find_repr(v))
             else:
-                self._check_vertex(u)
-                self._check_vertex(v)
+                check_vertex(u, self.n)
+                check_vertex(v, self.n)
                 out.append(True)
         return out
 
@@ -318,8 +323,8 @@ class EulerTourForest:
         # validate jointly before mutating anything
         reprs = {}
         for u, v in edges:
-            self._check_vertex(u)
-            self._check_vertex(v)
+            check_vertex(u, self.n)
+            check_vertex(v, self.n)
             for x in (u, v):
                 if x not in reprs:
                     reprs[x] = self.find_repr(x)
@@ -338,8 +343,8 @@ class EulerTourForest:
             return
         seen = set()
         for u, v in edges:
-            self._check_vertex(u)
-            self._check_vertex(v)
+            check_vertex(u, self.n)
+            check_vertex(v, self.n)
             key = (u, v) if u < v else (v, u)
             if key in seen or (u, v) not in self._arcs:
                 raise MissingEdgeError(f"({u},{v}) is not a forest edge here")
@@ -383,7 +388,7 @@ class EulerTourForest:
         """Apply (vertex, kind, delta) charge changes, batch-atomically."""
         pending = {}
         for v, kind, delta in deltas:
-            self._check_vertex(v)
+            check_vertex(v, self.n)
             idx = _KIND_INDEX[kind]
             pending[(v, idx)] = pending.get((v, idx), 0) + delta
         for (v, idx), delta in pending.items():
@@ -467,12 +472,17 @@ class EulerTourForest:
             if y is node or y.height > k:
                 return need
 
-    def _check_level(self, edges):
+    def _runs(self, edges):
+        """Group level-matching edges into per-endpoint runs, in edge order."""
+        runs = {}
         for e in edges:
             if e.level != self.level:
                 raise GraphError(
                     f"edge ({e.u},{e.v}) at level {e.level}, not {self.level}"
                 )
+            runs.setdefault(e.u, []).append(e)
+            runs.setdefault(e.v, []).append(e)
+        return runs
 
     def insert_level_edges(self, edges, kind):
         """Store level-matching edges in both endpoints' arrays and charge them.
@@ -482,11 +492,7 @@ class EulerTourForest:
         """
         if not edges:
             return
-        self._check_level(edges)
-        runs = {}
-        for e in edges:
-            runs.setdefault(e.u, []).append(e)
-            runs.setdefault(e.v, []).append(e)
+        runs = self._runs(edges)
         for vertex, run in runs.items():
             self._adj.insert_edges(vertex, self.level, kind, run)
         self.adjust_edge_counts([(vertex, kind, len(run)) for vertex, run in runs.items()])
@@ -494,19 +500,17 @@ class EulerTourForest:
     def remove_level_edges(self, v, edges, kind):
         """Drop level-matching edges from the adjacency arrays and charges.
 
-        Edges leave one at a time in the given order: each delete compacts
-        the array's tail, so the order fixes the survivors' slots.
+        ``v`` is unused. Each endpoint gets one ``delete_edges`` call for its
+        run, which removes the edges one at a time in the given order, each
+        moving the array's last edge into the hole, so the order fixes the
+        survivors' slots. Charges change by one delta per endpoint.
         """
         if not edges:
             return
-        self._check_level(edges)
-        deltas = []
-        for e in edges:
-            self._adj.delete_edges(e.u, self.level, kind, [e])
-            self._adj.delete_edges(e.v, self.level, kind, [e])
-            deltas.append((e.u, kind, -1))
-            deltas.append((e.v, kind, -1))
-        self.adjust_edge_counts(deltas)
+        runs = self._runs(edges)
+        for vertex, run in runs.items():
+            self._adj.delete_edges(vertex, self.level, kind, run)
+        self.adjust_edge_counts([(vertex, kind, -len(run)) for vertex, run in runs.items()])
 
     # ------------------------------------------------------------------
     # structural audits (test support)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from .errors import (
     DuplicateEdgeError,
     InvalidVertexError,
+    MalformedEdgeError,
     MissingEdgeError,
     SelfLoopError,
 )
@@ -23,15 +24,24 @@ class OracleGraph:
         self.edges = set()
 
     def _check_vertex(self, v):
-        if not isinstance(v, int) or not (0 <= v < self.n):
+        if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < self.n):
             raise InvalidVertexError(f"vertex {v!r} outside [0, {self.n})")
+
+    def _pairs(self, items):
+        """Each item as a vertex-checked ``(u, v)`` pair."""
+        for item in items:
+            try:
+                u, v = item
+            except (TypeError, ValueError):
+                raise MalformedEdgeError(f"{item!r} is not a (u, v) pair") from None
+            self._check_vertex(u)
+            self._check_vertex(v)
+            yield u, v
 
     def _canon(self, pairs, for_insert):
         out = []
         seen = set()
-        for u, v in pairs:
-            self._check_vertex(u)
-            self._check_vertex(v)
+        for u, v in self._pairs(pairs):
             if u == v:
                 raise SelfLoopError(f"self loop at {u}")
             key = (u, v) if u < v else (v, u)
@@ -83,9 +93,7 @@ class OracleGraph:
 
     def connected_many(self, queries):
         """Answer a batch of (u, v) queries with one recomputation."""
-        for u, v in queries:
-            self._check_vertex(u)
-            self._check_vertex(v)
+        queries = list(self._pairs(queries))
         roots = self._roots()
         return [u == v or roots[u] == roots[v] for u, v in queries]
 

@@ -147,15 +147,11 @@ def spanning_forest(edges):
 
     ``edges`` is a sequence of ``(a, b)`` pairs over opaque hashable node
     labels; multi-edges and self-loops are permitted and never selected twice
-    (or at all, for self-loops). Returns ``(forest, labels)`` where ``forest``
-    is the list of selected edge indices and ``labels`` maps every node seen
-    in the input to its component label, with equal labels exactly for
-    connected nodes.
+    (or at all, for self-loops). Returns the list of selected edge indices,
+    in increasing order.
 
     Deterministic: union by size with index-order scanning; the lower edge
     index wins ties.
     """
     sets = DisjointSets()
-    forest = [idx for idx, (a, b) in enumerate(edges) if sets.union(a, b) is not None]
-    labels = {node: sets.find(node) for edge in edges for node in edge}
-    return forest, labels
+    return [idx for idx, (a, b) in enumerate(edges) if sets.union(a, b) is not None]

@@ -7,6 +7,7 @@ from batchconn.errors import (
     DuplicateEdgeError,
     GraphError,
     InvalidVertexError,
+    MalformedEdgeError,
     MissingEdgeError,
     SelfLoopError,
 )
@@ -179,6 +180,35 @@ def test_delete_validation():
     with pytest.raises(DuplicateEdgeError):
         s.batch_delete([(0, 1), (1, 0)])
     assert s.live_edges() == [(0, 1)]
+
+
+@pytest.mark.parametrize("kind", ["I", "D", "Q"])
+@pytest.mark.parametrize(
+    "bad, err",
+    [
+        ((True, 2), InvalidVertexError),
+        ((1, True), InvalidVertexError),
+        ((False, 0), InvalidVertexError),
+        ((0, 1, 2), MalformedEdgeError),
+        ((3,), MalformedEdgeError),
+        (5, MalformedEdgeError),
+        (None, MalformedEdgeError),
+    ],
+)
+def test_bool_and_malformed_items_rejected_like_oracle(kind, bad, err):
+    s, g = LevelStructure(4), OracleGraph(4)
+    assert drive(s, g, "I", [(0, 1), (1, 2), (0, 2)])
+    before = (s.live_edges(), s.audit().failures)
+    engine = {"I": s.batch_insert, "D": s.batch_delete, "Q": s.batch_connected}[kind]
+    oracle = g.connected_many if kind == "Q" else lambda pairs: g.apply(kind, pairs)
+    good = {"I": (2, 3), "D": (0, 1), "Q": (0, 3)}[kind]
+    for batch in ([bad], [good, bad]):
+        for call in (engine, oracle):
+            with pytest.raises(GraphError) as info:
+                call(batch)
+            assert info.type is err, (call, batch)
+        assert (s.live_edges(), s.audit().failures) == before
+        assert s.live_edges() == sorted(g.edges)
 
 
 @pytest.mark.parametrize("strategy", ["simple", "interleaved"])

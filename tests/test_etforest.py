@@ -310,9 +310,7 @@ def register(forest, store, u, v, kind):
 
 
 def arrays_and_charges(forest, store):
-    arrays = {
-        key: [(e.u, e.v) for e in arr.slots[:arr.count]] for key, arr in store.arrays()
-    }
+    arrays = {key: [(e.u, e.v) for e in arr] for key, arr in store.arrays()}
     charges = [tuple(forest._loops[v].aug[0]) for v in range(forest.n)]
     return arrays, charges
 
@@ -420,6 +418,10 @@ def test_grouped_insert_matches_per_edge_inserts():
     rng.shuffle(pairs)
     kinds = [rng.choice(["tree", "nontree"]) for _ in pairs]
     links = [(v, v + 1) for v in range(0, 11, 2)]
+    # half the edges leave, about three per vertex, so most runs given to
+    # one delete_edges call hold several edges and leave survivors behind
+    removed = list(range(0, len(pairs), 2))
+    rng.shuffle(removed)
 
     def build(grouped):
         f, store = forest_with_store(12, level=3, seed=23)
@@ -434,7 +436,27 @@ def test_grouped_insert_matches_per_edge_inserts():
                 store.insert_edges(e.v, 3, kind, [e])
                 f.adjust_edge_counts([(e.u, kind, 1), (e.v, kind, 1)])
         assert_clean(f)
-        fetched = f.fetch_level_edges(0, f.num_nontree_edges(0), "nontree")
-        return arrays_and_charges(f, store), [(e.u, e.v) for e in fetched]
+        states = [state(f, store)]
+        if grouped:
+            for kind in ("tree", "nontree"):
+                run = [edges[j] for j in removed if kinds[j] == kind]
+                f.remove_level_edges(0, run, kind)
+        else:
+            for j in removed:
+                e, kind = edges[j], kinds[j]
+                store.delete_edges(e.u, 3, kind, [e])
+                store.delete_edges(e.v, 3, kind, [e])
+                f.adjust_edge_counts([(e.u, kind, -1), (e.v, kind, -1)])
+        assert_clean(f)
+        assert store.audit() == []
+        states.append(state(f, store))
+        return states
+
+    def state(f, store):
+        fetched = [
+            [(e.u, e.v) for e in f.fetch_level_edges(v, f.num_nontree_edges(v), "nontree")]
+            for v in range(0, 12, 2)
+        ]
+        return arrays_and_charges(f, store), fetched
 
     assert build(grouped=True) == build(grouped=False)

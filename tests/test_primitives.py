@@ -188,64 +188,66 @@ def bfs_components(edges):
     return label
 
 
+def forest_labels(edges, forest):
+    """Component labels from replaying the selected edges in a union-find.
+
+    Asserts on the way that every selected edge joins two different trees.
+    """
+    sets = DisjointSets()
+    for idx in forest:
+        a, b = edges[idx]
+        assert sets.union(a, b) is not None
+    return {x: sets.find(x) for edge in edges for x in edge}
+
+
+def assert_spans_bfs_components(edges, forest):
+    labels = forest_labels(edges, forest)
+    ref = bfs_components(edges)
+    for a in ref:
+        for b in ref:
+            assert (labels[a] == labels[b]) == (ref[a] == ref[b])
+
+
 def test_spanning_forest_cycle():
     edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
-    forest, labels = spanning_forest(edges)
-    assert len(forest) == 3
-    assert len({labels[x] for x in "abcd"}) == 1
+    forest = spanning_forest(edges)
+    assert forest == [0, 1, 2]
+    assert_spans_bfs_components(edges, forest)
 
 
 def test_spanning_forest_duplicate_edge():
-    forest, _ = spanning_forest([("a", "b"), ("a", "b")])
-    assert forest == [0]
+    assert spanning_forest([("a", "b"), ("a", "b")]) == [0]
 
 
 def test_spanning_forest_self_loop_never_selected():
-    forest, labels = spanning_forest([("a", "a"), ("a", "b")])
+    edges = [("a", "a"), ("a", "b")]
+    forest = spanning_forest(edges)
     assert forest == [1]
-    assert labels["a"] == labels["b"]
+    assert_spans_bfs_components(edges, forest)
 
 
 def test_spanning_forest_random_vs_bfs():
     rng = random.Random(11)
     edges = [(rng.randrange(40), rng.randrange(40)) for _ in range(200)]
-    forest, labels = spanning_forest(edges)
+    forest = spanning_forest(edges)
+    # acyclic, and the same partition as the input
+    assert_spans_bfs_components(edges, forest)
     ref = bfs_components(edges)
     nodes = set(ref)
-    # same partition
-    for a in nodes:
-        for b in nodes:
-            assert (labels[a] == labels[b]) == (ref[a] == ref[b])
     comps = len({ref[x] for x in nodes})
     assert len(forest) == len(nodes) - comps
-    # acyclic: replay through a union-find
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            x = parent[x]
-        return x
-
-    for idx in forest:
-        a, b = edges[idx]
-        ra, rb = find(a), find(b)
-        assert ra != rb
-        parent[ra] = rb
     # maximal: every unselected edge is a self loop or closes a cycle
+    labels = forest_labels(edges, forest)
     chosen = set(forest)
     for idx, (a, b) in enumerate(edges):
         if idx not in chosen:
-            assert a == b or find(a) == find(b)
+            assert labels[a] == labels[b]
 
 
 @settings(max_examples=50)
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12))))
 def test_spanning_forest_properties(edges):
-    forest, labels = spanning_forest(edges)
-    ref = bfs_components(edges)
-    for a in ref:
-        for b in ref:
-            assert (labels[a] == labels[b]) == (ref[a] == ref[b])
+    assert_spans_bfs_components(edges, spanning_forest(edges))
 
 
 def test_spanning_forest_deterministic():
