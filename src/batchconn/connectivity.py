@@ -249,7 +249,7 @@ class LevelStructure:
     def batch_connected(self, queries):
         answers = self.forests[self.levels].batch_connected(queries)
         self.counters.query_batches += 1
-        self.counters.queries += len(queries)
+        self.counters.queries += len(answers)
         return answers
 
     # ------------------------------------------------------------------

@@ -13,10 +13,15 @@ ring-(k-1) nodes from x up to but not including the next node of height > k,
 so the top ring of a tour sums to the whole tour and supports component size,
 per-kind edge counts, and count-guided prefix fetches.
 
-Links and cuts are splices: open the circle into linear strands, rearrange,
-close, then recompute the sums whose spans crossed a seam. All randomness
-(node heights) comes from a per-forest seeded generator, so identical seeds
-give identical structures and identical fetch orders.
+Links and cuts are splices in the sense of Guibas and Stolfi: swapping the
+successors of two nodes joins their rings if they differ and splits the ring
+if they share one. A circular skip list is fixed by its node order and
+heights, so a swap on ring 0 needs only one swap on each ring above it that
+it changes. A link splices two new single-arc rings into place, a cut splices
+its two arcs out and the rest apart, and one repair then recomputes every
+sum whose span changed. All randomness (node heights) comes from a
+per-forest seeded generator, so identical seeds give identical structures
+and identical fetch orders.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ class TourNode:
         self.vertex = vertex      # loop nodes only
         self.arc = arc            # (u, v) for arc nodes, else None
         self.height = height
-        self.nxt = [None] * height
-        self.prv = [None] * height
+        self.nxt = [self] * height    # a new node is a ring of its own
+        self.prv = [self] * height
         one = 1 if vertex is not None else 0
         self.aug = [[0, 0, one] for _ in range(height)]
 
@@ -73,42 +78,6 @@ class TourNode:
         if self.vertex is not None:
             return f"<loop {self.vertex} h={self.height}>"
         return f"<arc {self.arc[0]}->{self.arc[1]} h={self.height}>"
-
-
-class _Strand:
-    """A linearized piece of a tour: per-ring first/last nodes."""
-
-    __slots__ = ("heads", "tails")
-
-    def __init__(self, heads, tails):
-        self.heads = heads
-        self.tails = tails
-
-
-def _strand_of(node):
-    h = node.height
-    return _Strand([node] * h, [node] * h)
-
-
-def _join(s1, s2):
-    if not s1.heads:
-        return s2
-    if not s2.heads:
-        return s1
-    h1, h2 = len(s1.heads), len(s2.heads)
-    for k in range(min(h1, h2)):
-        t, h = s1.tails[k], s2.heads[k]
-        t.nxt[k] = h
-        h.prv[k] = t
-    if h2 > h1:
-        heads = s1.heads + s2.heads[h1:]
-    else:
-        heads = s1.heads
-    if h1 > h2:
-        tails = s2.tails + s1.tails[h2:]
-    else:
-        tails = s2.tails
-    return _Strand(heads, tails)
 
 
 class EulerTourForest:
@@ -120,7 +89,7 @@ class EulerTourForest:
         self._adj = adj
         self._rng = random.Random((seed * 0x9E3779B1 + level * 0x85EBCA77) & 0x7FFFFFFFFFFF)
         self._next_uid = 0
-        self._loops = [self._close_single(self._make_node(v, None)) for v in range(n)]
+        self._loops = [self._make_node(v, None) for v in range(n)]
         self._arcs = {}
 
     # ------------------------------------------------------------------
@@ -138,80 +107,43 @@ class EulerTourForest:
         self._next_uid += 1
         return node
 
-    @staticmethod
-    def _close_single(node):
-        for k in range(node.height):
-            node.nxt[k] = node
-            node.prv[k] = node
-        return node
-
     # ------------------------------------------------------------------
     # splice machinery
     # ------------------------------------------------------------------
 
-    def _cut_before(self, y):
-        """Open the ring containing ``y`` at the seam just before it.
+    @staticmethod
+    def _splice(x, y):
+        """Swap the ring-0 successors of ``x`` and ``y``, and climb.
 
-        Returns the whole ring linearized as a strand starting at ``y``.
+        On ring 0 the swap joins two tours into one, or splits one tour in
+        two. Ring k+1 then swaps the successors of the last nodes of height
+        > k+1 at or before the ring-k pivots. The climb ends on the first
+        ring where either pivot has no such node or both share one: from
+        there up one side holds the whole ring, which stays as it is. Sums
+        are left to the caller's ``_repair``.
         """
-        heads, tails = [], []
-        a = y.prv[0]
-        b = y
         k = 0
         while True:
-            heads.append(b)
-            tails.append(a)
-            a.nxt[k] = None
-            b.prv[k] = None
-            # last strand node of height > k+1 at or before a
-            c = a
-            while c is not None and c.height <= k + 1:
-                c = c.prv[k]
-            if c is None:
-                break
-            a = c
-            b = a.nxt[k + 1]
-            k += 1
-        return _Strand(heads, tails)
-
-    @staticmethod
-    def _split_strand(s, z):
-        """Split strand ``s`` at the seam just before node ``z``.
-
-        Returns (left, right) with ``z`` heading the right strand.
-        """
-        levels = len(s.heads)
-        lh, lt, rh, rt = [], [], [], []
-        a = z.prv[0]
-        k = 0
-        while k < levels:
-            if a is None:
-                # nothing of this height (or above) left of the seam
-                rh.extend(s.heads[k:])
-                rt.extend(s.tails[k:])
-                return _Strand(lh, lt), _Strand(rh, rt)
-            lh.append(s.heads[k])
-            lt.append(a)
-            b = a.nxt[k]
-            if b is not None:
-                a.nxt[k] = None
-                b.prv[k] = None
-                rh.append(b)
-                rt.append(s.tails[k])
-            # else: every node of this height (and above) is left of the seam
-            c = a
-            while c is not None and c.height <= k + 1:
-                c = c.prv[k]
-            a = c
-            k += 1
-        return _Strand(lh, lt), _Strand(rh, rt)
-
-    @staticmethod
-    def _close_ring(s):
-        for k in range(len(s.heads)):
-            t, h = s.tails[k], s.heads[k]
-            t.nxt[k] = h
-            h.prv[k] = t
+            up = k + 1
+            # the next ring's pivots, found while ring k is intact (after a
+            # join, walking back would run on into the other tour)
+            cx = x
+            while cx.height <= up:
+                cx = cx.prv[k]
+                if cx is x:
+                    break
+            cy = y
+            while cy.height <= up:
+                cy = cy.prv[k]
+                if cy is y:
+                    break
+            xn, yn = x.nxt[k], y.nxt[k]
+            x.nxt[k], y.nxt[k] = yn, xn
+            yn.prv[k], xn.prv[k] = x, y
+            if cx.height <= up or cy.height <= up or cx is cy:
+                return
+            x, y = cx, cy
+            k = up
 
     def _recompute(self, c, k):
         base = c.aug[k - 1]
@@ -359,26 +291,24 @@ class EulerTourForest:
         a2 = self._make_node(None, (v, u))
         self._arcs[(u, v)] = a1
         self._arcs[(v, u)] = a2
-        w = lu.nxt[0]
-        s_u = self._cut_before(w)            # [w .. lu], the whole u-ring
-        s_v = self._cut_before(lv)           # [lv .. prv(lv)], the whole v-ring
-        dirty = [lu, w, lv, s_v.tails[0], a1, a2]
-        s = _join(s_u, _strand_of(a1))
-        s = _join(s, s_v)
-        s = _join(s, _strand_of(a2))
-        self._close_ring(s)
-        self._repair(dirty)
+        # tour becomes lu, a1, lv .. p, a2, then the rest of u's tour
+        p = lv.prv[0]
+        self._splice(lu, a1)
+        self._splice(a1, p)
+        self._splice(p, a2)
+        self._repair([lu, a1, p, a2])
 
     def _cut(self, u, v):
         a1 = self._arcs.pop((u, v))
         a2 = self._arcs.pop((v, u))
-        s = self._cut_before(a1)
-        _, s = self._split_strand(s, a1.nxt[0])     # drop [a1]
-        seg_v, s = self._split_strand(s, a2)
-        _, seg_u = self._split_strand(s, a2.nxt[0])  # drop [a2]
-        self._close_ring(seg_v)
-        self._close_ring(seg_u)
-        self._repair([seg_v.heads[0], seg_v.tails[0], seg_u.heads[0], seg_u.tails[0]])
+        p1 = a1.prv[0]
+        p2 = a2.prv[0]
+        self._splice(p1, a1)     # a1 alone
+        self._splice(p2, a2)     # a2 alone
+        self._splice(p1, p2)     # u's side and v's side apart
+        self._repair([p1, p2])
+        # no self-rings left behind, so reference counting frees the arcs
+        a1.nxt = a1.prv = a2.nxt = a2.prv = None
 
     # ------------------------------------------------------------------
     # augmented counts and count-guided fetches
@@ -537,7 +467,7 @@ class EulerTourForest:
         return out
 
     def audit(self):
-        """Structural self-check: tour validity plus augmented-sum exactness."""
+        """Structural self-check: tour validity, ring pointers, augmented-sum exactness."""
         problems = []
         arc_nodes = 0
         for tour in self.tours():
@@ -565,22 +495,37 @@ class EulerTourForest:
                     cur = y
                     if node.aug[0] != [0, 0, 0]:
                         problems.append(f"aug: arc {node.arc} carries charges")
-                for k in range(1, node.height):
-                    s0 = s1 = s2 = 0
-                    y = node
-                    while True:
-                        row = y.aug[k - 1]
-                        s0 += row[0]
-                        s1 += row[1]
-                        s2 += row[2]
-                        y = y.nxt[k - 1]
-                        if y is node or y.height > k:
-                            break
-                    if [s0, s1, s2] != node.aug[k]:
-                        problems.append(
-                            f"aug: node uid={node.uid} ring {k} stores {node.aug[k]}, "
-                            f"spans {[s0, s1, s2]}"
-                        )
+            # ring k links exactly the tour's nodes of height > k, in tour order
+            sound = len(problems)
+            ring, k = tour, 0
+            while ring:
+                for i, node in enumerate(ring):
+                    after = ring[(i + 1) % len(ring)]
+                    if node.nxt[k] is not after:
+                        problems.append(f"ring {k}: nxt of uid={node.uid} is not uid={after.uid}")
+                    if after.prv[k] is not node:
+                        problems.append(f"ring {k}: prv of uid={after.uid} is not uid={node.uid}")
+                k += 1
+                ring = [node for node in ring if node.height > k]
+            # the sums are walked along the rings, so only once those are sound
+            if len(problems) == sound:
+                for node in tour:
+                    for k in range(1, node.height):
+                        s0 = s1 = s2 = 0
+                        y = node
+                        while True:
+                            row = y.aug[k - 1]
+                            s0 += row[0]
+                            s1 += row[1]
+                            s2 += row[2]
+                            y = y.nxt[k - 1]
+                            if y is node or y.height > k:
+                                break
+                        if [s0, s1, s2] != node.aug[k]:
+                            problems.append(
+                                f"aug: node uid={node.uid} ring {k} stores {node.aug[k]}, "
+                                f"spans {[s0, s1, s2]}"
+                            )
             start = first.vertex if first.vertex is not None else first.arc[0]
             if cur != start:
                 problems.append("tour: walk does not return to its start")

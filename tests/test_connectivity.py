@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -301,6 +302,20 @@ def test_component_search_exhaustion_pushes_everything():
     assert report.ok, report.failures[:4]
 
 
+def test_generator_query_batch_vs_oracle():
+    # query batches, like insert and delete batches, may be any iterable
+    rng = random.Random(7)
+    n = 32
+    s = LevelStructure(n, seed=7)
+    g = OracleGraph(n)
+    drive(s, g, "I", [(u, u + 1) for u in range(0, n - 1, 3)])
+    queries = [(rng.randrange(n), rng.randrange(n)) for _ in range(50)]
+    before = (s.counters.query_batches, s.counters.queries)
+    answers = s.batch_connected(pair for pair in queries)
+    assert answers == g.connected_many(pair for pair in queries)
+    assert (s.counters.query_batches, s.counters.queries) == (before[0] + 1, before[1] + 50)
+
+
 def test_component_search_doubling_trace_matches_hand_simulation():
     # piece {0..8} with internal non-tree chords plus one replacement to
     # piece {9,10}; every vertex holds at most one non-tree edge so pushes
@@ -594,6 +609,12 @@ PINNED = {
     "interleaved": {"P": 16163, "search_calls": 21814, "doubling_checks": 164, "rounds": 878},
 }
 
+# SHA-256 over every tour's (uid, height, aug) triples, levels in order
+PINNED_TOURS = {
+    "simple": "6520e91723bc7634ea24481a26e58e6e3cb3967df229abaa8fc3352e9b1e168c",
+    "interleaved": "b870da274a8ae09b68491f6af696381e710a23386cbeabe36c22db48a195a79b",
+}
+
 
 @pytest.mark.parametrize("strategy", sorted(PINNED))
 def test_pinned_counters(strategy):
@@ -613,3 +634,9 @@ def test_pinned_counters(strategy):
     snap = s.counters.snapshot()
     snap["rounds"] = sum(snap["rounds_by_batch_level"].values())
     assert {key: snap[key] for key in PINNED[strategy]} == PINNED[strategy]
+    # and the skip-list structure itself: node order, heights and sums
+    digest = hashlib.sha256()
+    for i in sorted(s.forests):
+        for tour in s.forests[i].tours():
+            digest.update(repr([(node.uid, node.height, node.aug) for node in tour]).encode())
+    assert digest.hexdigest() == PINNED_TOURS[strategy]

@@ -1,10 +1,11 @@
+import gc
 import random
 
 import pytest
 
 from batchconn.adjstore import AdjacencyStore
 from batchconn.errors import CycleError, GraphError, InvalidVertexError, MissingEdgeError
-from batchconn.etforest import EulerTourForest
+from batchconn.etforest import EulerTourForest, TourNode
 
 
 class StubEdge:
@@ -144,6 +145,40 @@ def test_component_size_path():
     for v in range(5):
         assert f.component_size(v) == 5
     assert f.component_size(5) == 1
+
+
+def test_audit_names_broken_ring_pointers():
+    f = EulerTourForest(64, seed=5)
+    f.batch_link([(i, i + 1) for i in range(63)])
+    assert_clean(f)
+    (tour,) = f.tours()
+    ring1 = [node for node in tour if node.height > 1]
+    node = ring1[3]
+    node.prv[1] = ring1[5]
+    assert f.audit() == [f"ring 1: prv of uid={node.uid} is not uid={ring1[2].uid}"]
+    node.prv[1] = ring1[2]
+    assert_clean(f)
+    ring2 = [node for node in tour if node.height > 2]
+    node = ring2[0]
+    node.nxt[2] = ring2[2]
+    assert f.audit() == [f"ring 2: nxt of uid={node.uid} is not uid={ring2[1].uid}"]
+
+
+def test_cut_arcs_are_freed_by_reference_counting():
+    def live_nodes():
+        return sum(isinstance(obj, TourNode) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_nodes()
+        f = EulerTourForest(64, seed=5)
+        f.batch_link([(i, i + 1) for i in range(63)])
+        assert live_nodes() - before == 190
+        f.batch_cut([(i, i + 1) for i in range(63)])
+        assert live_nodes() - before == 64
+    finally:
+        gc.enable()
 
 
 def test_random_links_vs_union_find_oracle():
