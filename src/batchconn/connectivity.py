@@ -697,7 +697,7 @@ class LevelStructure:
         for i in range(1, self.levels + 1):
             fi = self.forests[i]
             for v in range(self.n):
-                row = fi._loops[v].aug[0]
+                row = fi._loops[v].own
                 if row[0] != counted.get((v, i, NONTREE), 0):
                     failures.append(
                         f"charges: vertex {v} level {i} nontree {row[0]} != array"

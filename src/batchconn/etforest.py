@@ -1,27 +1,24 @@
-"""Euler tour forest over circular skip lists with per-tour edge counters.
+"""Euler tour forest over treaps with per-tour edge counters.
 
-One instance represents one forest level. Each tree is stored as the circular
-Euler tour of its arcs and vertex loops: a tree edge {u, v} contributes the
-two arc nodes u->v and v->u, and every vertex contributes exactly one loop
-node. The tour is a circular doubly linked skip list; a node of height h
-participates in rings 0..h-1.
+One instance represents one forest level. Each tree is stored as the Euler
+tour of its arcs and vertex loops: a tree edge {u, v} contributes the two arc
+nodes u->v and v->u, and every vertex contributes exactly one loop node. The
+tour is a sequence kept as a treap ordered by tour position (Seidel and
+Aragon, "Randomized Search Trees"), with parent pointers so that any node can
+reach its tree's root and split the sequence at itself.
 
-Every node carries one augmented sum per ring it participates in, a triple
+Every node carries its own charges and its subtree's sums, each a triple
 (non-tree edge charges, tree edge charges, vertex count). Charges live on
-vertex loops only; arcs carry zeros. The sum of a node x at ring k covers the
-ring-(k-1) nodes from x up to but not including the next node of height > k,
-so the top ring of a tour sums to the whole tour and supports component size,
-per-kind edge counts, and count-guided prefix fetches.
+vertex loops only; arcs carry zeros. The root's sums are the tour's totals,
+which give component size, per-kind edge counts, and the guide for
+count-guided prefix fetches.
 
-Links and cuts are splices in the sense of Guibas and Stolfi: swapping the
-successors of two nodes joins their rings if they differ and splits the ring
-if they share one. A circular skip list is fixed by its node order and
-heights, so a swap on ring 0 needs only one swap on each ring above it that
-it changes. A link splices two new single-arc rings into place, a cut splices
-its two arcs out and the rest apart, and one repair then recomputes every
-sum whose span changed. All randomness (node heights) comes from a
-per-forest seeded generator, so identical seeds give identical structures
-and identical fetch orders.
+A link splits u's tour after u's loop and v's tour before v's loop and joins
+the pieces; a cut takes the two arcs out and joins the outer pieces. Neither
+moves the first node of the tour that keeps it, so every tour's sequence, and
+with it every fetch order, follows from the links and cuts alone. Node
+priorities come from a per-forest seeded generator and only shape the
+treaps, and with them the representative that ``find_repr`` reports.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ from .errors import (
     MissingEdgeError,
 )
 from .primitives import DisjointSets
-
-_MAX_HEIGHT = 32
 
 _NONTREE = 0
 _TREE = 1
@@ -62,22 +57,113 @@ def as_pair(item):
 
 
 class TourNode:
-    __slots__ = ("uid", "vertex", "arc", "height", "nxt", "prv", "aug")
+    __slots__ = ("uid", "vertex", "arc", "prio", "left", "right", "parent", "own", "sums")
 
-    def __init__(self, uid, vertex, arc, height):
+    def __init__(self, uid, vertex, arc, prio):
         self.uid = uid
         self.vertex = vertex      # loop nodes only
         self.arc = arc            # (u, v) for arc nodes, else None
-        self.height = height
-        self.nxt = [self] * height    # a new node is a ring of its own
-        self.prv = [self] * height
+        self.prio = prio          # no child outranks its parent
+        self.left = self.right = self.parent = None
         one = 1 if vertex is not None else 0
-        self.aug = [[0, 0, one] for _ in range(height)]
+        self.own = [0, 0, one]    # this node's charges
+        self.sums = [0, 0, one]   # its subtree's
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        if self.vertex is not None:
-            return f"<loop {self.vertex} h={self.height}>"
-        return f"<arc {self.arc[0]}->{self.arc[1]} h={self.height}>"
+
+# ----------------------------------------------------------------------
+# treap plumbing
+# ----------------------------------------------------------------------
+
+def _pull(x):
+    """Recompute x's sums from its own charges and its children's sums."""
+    a, b, c = x.own
+    child = x.left
+    if child is not None:
+        s = child.sums
+        a += s[0]
+        b += s[1]
+        c += s[2]
+    child = x.right
+    if child is not None:
+        s = child.sums
+        a += s[0]
+        b += s[1]
+        c += s[2]
+    s = x.sums
+    s[0] = a
+    s[1] = b
+    s[2] = c
+
+
+def _root(x):
+    while x.parent is not None:
+        x = x.parent
+    return x
+
+
+def _merge(a, b):
+    """Join two treaps, every node of ``a`` before every node of ``b``."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if a.prio > b.prio:
+        child = _merge(a.right, b)
+        a.right = child
+        child.parent = a
+        _pull(a)
+        return a
+    child = _merge(a, b.left)
+    b.left = child
+    child.parent = b
+    _pull(b)
+    return b
+
+
+def _rise(x, left, right):
+    """Finish a split at x: climb to the root, handing each ancestor with its
+    other subtree to the side it lies on. Returns both sides' roots."""
+    child, p = x, x.parent
+    while p is not None:
+        up = p.parent
+        if p.left is child:
+            p.left = right
+            if right is not None:
+                right.parent = p
+            right = p
+        else:
+            p.right = left
+            if left is not None:
+                left.parent = p
+            left = p
+        _pull(p)
+        child, p = p, up
+    if left is not None:
+        left.parent = None
+    if right is not None:
+        right.parent = None
+    return left, right
+
+
+def _split(x, after):
+    """Split x's sequence just after x, or just before it; return both roots."""
+    if after:
+        left, right = x, x.right
+        x.right = None
+    else:
+        left, right = x.left, x
+        x.left = None
+    _pull(x)
+    return _rise(x, left, right)
+
+
+def _excise(x):
+    """Take x out of its sequence; return the roots before and after it."""
+    left, right = x.left, x.right
+    x.left = x.right = None
+    out = _rise(x, left, right)
+    x.parent = None
+    return out
 
 
 class EulerTourForest:
@@ -88,134 +174,25 @@ class EulerTourForest:
         self.level = level
         self._adj = adj
         self._rng = random.Random((seed * 0x9E3779B1 + level * 0x85EBCA77) & 0x7FFFFFFFFFFF)
-        self._next_uid = 0
-        self._loops = [self._make_node(v, None) for v in range(n)]
+        rand = self._rng.random
+        self._loops = [TourNode(v, v, None, rand()) for v in range(n)]
+        self._next_uid = n
         self._arcs = {}
-
-    # ------------------------------------------------------------------
-    # node plumbing
-    # ------------------------------------------------------------------
-
-    def _random_height(self):
-        h = 1
-        while h < _MAX_HEIGHT and self._rng.getrandbits(1):
-            h += 1
-        return h
-
-    def _make_node(self, vertex, arc):
-        node = TourNode(self._next_uid, vertex, arc, self._random_height())
-        self._next_uid += 1
-        return node
-
-    # ------------------------------------------------------------------
-    # splice machinery
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _splice(x, y):
-        """Swap the ring-0 successors of ``x`` and ``y``, and climb.
-
-        On ring 0 the swap joins two tours into one, or splits one tour in
-        two. Ring k+1 then swaps the successors of the last nodes of height
-        > k+1 at or before the ring-k pivots. The climb ends on the first
-        ring where either pivot has no such node or both share one: from
-        there up one side holds the whole ring, which stays as it is. Sums
-        are left to the caller's ``_repair``.
-        """
-        k = 0
-        while True:
-            up = k + 1
-            # the next ring's pivots, found while ring k is intact (after a
-            # join, walking back would run on into the other tour)
-            cx = x
-            while cx.height <= up:
-                cx = cx.prv[k]
-                if cx is x:
-                    break
-            cy = y
-            while cy.height <= up:
-                cy = cy.prv[k]
-                if cy is y:
-                    break
-            xn, yn = x.nxt[k], y.nxt[k]
-            x.nxt[k], y.nxt[k] = yn, xn
-            yn.prv[k], xn.prv[k] = x, y
-            if cx.height <= up or cy.height <= up or cx is cy:
-                return
-            x, y = cx, cy
-            k = up
-
-    def _recompute(self, c, k):
-        base = c.aug[k - 1]
-        s0, s1, s2 = base[0], base[1], base[2]
-        y = c.nxt[k - 1]
-        while y is not c and y.height <= k:
-            b = y.aug[k - 1]
-            s0 += b[0]
-            s1 += b[1]
-            s2 += b[2]
-            y = y.nxt[k - 1]
-        row = c.aug[k]
-        row[0] = s0
-        row[1] = s1
-        row[2] = s2
-
-    def _repair(self, dirty):
-        """Recompute the sums covering the given bottom nodes, all rings."""
-        frontier = set(dirty)
-        k = 1
-        while frontier:
-            covers = set()
-            for d in frontier:
-                c = d
-                while c.height <= k:
-                    c = c.prv[k - 1]
-                    if c is d:
-                        c = None
-                        break
-                if c is not None:
-                    covers.add(c)
-            for c in covers:
-                self._recompute(c, k)
-            frontier = covers
-            k += 1
 
     # ------------------------------------------------------------------
     # representatives and totals
     # ------------------------------------------------------------------
 
-    def _tree_info(self, v):
-        """(min-uid node, (non-tree, tree, vertex) totals, ring index) of v's tour."""
+    def _top(self, v):
         check_vertex(v, self.n)
-        cur = self._loops[v]
-        k = cur.height - 1
-        while True:
-            c = cur.prv[k]
-            while c is not cur and c.height <= k + 1:
-                c = c.prv[k]
-            if c is cur:
-                break
-            cur = c
-            k = cur.height - 1
-        rep = cur
-        t0, t1, t2 = cur.aug[k]
-        node = cur.nxt[k]
-        while node is not cur:
-            if node.uid < rep.uid:
-                rep = node
-            row = node.aug[k]
-            t0 += row[0]
-            t1 += row[1]
-            t2 += row[2]
-            node = node.nxt[k]
-        return rep, (t0, t1, t2), k
+        return _root(self._loops[v])
 
     def find_repr(self, v):
-        """Identity of the tour's current top node; stable until a mutation."""
-        return self._tree_info(v)[0].uid
+        """Identity of v's tour: its treap root's uid, stable until a mutation."""
+        return self._top(v).uid
 
     def batch_find_repr(self, vertices):
-        return [self._tree_info(v)[0].uid for v in vertices]
+        return [self._top(v).uid for v in vertices]
 
     def batch_connected(self, queries):
         out = []
@@ -230,15 +207,15 @@ class EulerTourForest:
         return out
 
     def component_size(self, v) -> int:
-        return self._tree_info(v)[1][_VERTS]
+        return self._top(v).sums[_VERTS]
 
     def num_nontree_edges(self, v) -> int:
         """Level-matching non-tree edge endpoints charged within v's tree."""
-        return self._tree_info(v)[1][_NONTREE]
+        return self._top(v).sums[_NONTREE]
 
     def num_tree_edges(self, v) -> int:
         """Level-matching tree edge endpoints charged within v's tree."""
-        return self._tree_info(v)[1][_TREE]
+        return self._top(v).sums[_TREE]
 
     # ------------------------------------------------------------------
     # links and cuts
@@ -285,30 +262,25 @@ class EulerTourForest:
             self._cut(u, v)
 
     def _link(self, u, v):
-        lu = self._loops[u]
-        lv = self._loops[v]
-        a1 = self._make_node(None, (u, v))
-        a2 = self._make_node(None, (v, u))
-        self._arcs[(u, v)] = a1
-        self._arcs[(v, u)] = a2
-        # tour becomes lu, a1, lv .. p, a2, then the rest of u's tour
-        p = lv.prv[0]
-        self._splice(lu, a1)
-        self._splice(a1, p)
-        self._splice(p, a2)
-        self._repair([lu, a1, p, a2])
+        uid = self._next_uid
+        self._next_uid = uid + 2
+        rand = self._rng.random
+        a1 = self._arcs[(u, v)] = TourNode(uid, None, (u, v), rand())
+        a2 = self._arcs[(v, u)] = TourNode(uid + 1, None, (v, u), rand())
+        # u's tour becomes: .. lu, a1, lv .., .. before lv, a2, after lu ..
+        head, rest = _split(self._loops[u], True)
+        before, from_lv = _split(self._loops[v], False)
+        _merge(_merge(_merge(_merge(_merge(head, a1), from_lv), before), a2), rest)
 
     def _cut(self, u, v):
         a1 = self._arcs.pop((u, v))
         a2 = self._arcs.pop((v, u))
-        p1 = a1.prv[0]
-        p2 = a2.prv[0]
-        self._splice(p1, a1)     # a1 alone
-        self._splice(p2, a2)     # a2 alone
-        self._splice(p1, p2)     # u's side and v's side apart
-        self._repair([p1, p2])
-        # no self-rings left behind, so reference counting frees the arcs
-        a1.nxt = a1.prv = a2.nxt = a2.prv = None
+        left, right = _excise(a1)
+        if _root(a2) is left:
+            left, _ = _excise(a2)       # left, a2, cut-off tour, a1, right
+        else:
+            _, right = _excise(a2)      # left, a1, cut-off tour, a2, right
+        _merge(left, right)
 
     # ------------------------------------------------------------------
     # augmented counts and count-guided fetches
@@ -322,69 +294,44 @@ class EulerTourForest:
             idx = _KIND_INDEX[kind]
             pending[(v, idx)] = pending.get((v, idx), 0) + delta
         for (v, idx), delta in pending.items():
-            if self._loops[v].aug[0][idx] + delta < 0:
+            if self._loops[v].own[idx] + delta < 0:
                 raise GraphError(f"charge for vertex {v} would go negative")
         for (v, idx), delta in pending.items():
             if delta:
-                self._apply_delta(self._loops[v], idx, delta)
-
-    def _apply_delta(self, node, idx, delta):
-        node.aug[0][idx] += delta
-        cur = node
-        k = 0
-        while True:
-            c = cur
-            found = None
-            while True:
-                if c.height > k + 1:
-                    found = c
-                    break
-                c = c.prv[k]
-                if c is cur:
-                    break
-            if found is None:
-                return
-            found.aug[k + 1][idx] += delta
-            cur = found
-            k += 1
+                x = self._loops[v]
+                x.own[idx] += delta
+                while x is not None:
+                    x.sums[idx] += delta
+                    x = x.parent
 
     def fetch_level_edges(self, v, l, kind):
         """First ``l`` distinct level-matching edges of ``kind`` in v's tree.
 
-        Order is canonical: tour order of charged vertex loops starting at the
-        representative, then adjacency slot order within a loop. Repeated
-        calls without intervening mutations return the same prefix. Charges
-        are per endpoint, so when both endpoints of an edge lie in the tree
-        the distinct edges can run out before ``l`` does; everything
-        available is returned in that case.
+        Order is canonical: tour order of charged vertex loops from the tour's
+        first node, then adjacency slot order within a loop. The sequence
+        depends only on the links and cuts made, so neither the seed nor
+        queries change it, and repeated calls without intervening mutations
+        return the same prefix. Charges are per endpoint, so when both
+        endpoints of an edge lie in the tree the distinct edges can run out
+        before ``l`` does; everything available is returned in that case.
         """
         idx = _KIND_INDEX[kind]
-        rep, totals, k = self._tree_info(v)
-        if l > totals[idx]:
-            raise GraphError(f"fetch of {l} exceeds available charge {totals[idx]}")
-        if l == 0:
-            return []
+        root = self._top(v)
+        if l > root.sums[idx]:
+            raise GraphError(f"fetch of {l} exceeds available charge {root.sums[idx]}")
         out = []
-        seen = set()
-        start = rep
-        node = start
-        need = l
-        while True:
-            need = self._collect(node, k, idx, need, out, seen)
-            if need == 0:
-                break
-            node = node.nxt[k]
-            if node is start:
-                break
+        if l:
+            self._collect(root, idx, kind, l, out, set())
         return out
 
-    def _collect(self, node, k, idx, need, out, seen):
-        if node.aug[k][idx] == 0:
+    def _collect(self, x, idx, kind, need, out, seen):
+        """Add up to ``need`` unseen edges of x's subtree, in tour order; return
+        how many are still needed. Subtrees without charge are skipped."""
+        if x is None or x.sums[idx] == 0:
             return need
-        if k == 0:
-            vertex = node.vertex
-            cnt = self._adj.count(vertex, self.level, _KIND_NAME[idx])
-            for e in self._adj.fetch_edges(vertex, self.level, _KIND_NAME[idx], cnt):
+        need = self._collect(x.left, idx, kind, need, out, seen)
+        if need and x.own[idx]:
+            for e in self._adj.fetch_edges(x.vertex, self.level, kind, x.own[idx]):
                 key = (e.u, e.v)
                 if key not in seen:
                     seen.add(key)
@@ -392,15 +339,9 @@ class EulerTourForest:
                     need -= 1
                     if need == 0:
                         return 0
-            return need
-        y = node
-        while True:
-            need = self._collect(y, k - 1, idx, need, out, seen)
-            if need == 0:
-                return 0
-            y = y.nxt[k - 1]
-            if y is node or y.height > k:
-                return need
+        if need:
+            need = self._collect(x.right, idx, kind, need, out, seen)
+        return need
 
     def _runs(self, edges):
         """Group level-matching edges into per-endpoint runs, in edge order."""
@@ -446,35 +387,74 @@ class EulerTourForest:
     # structural audits (test support)
     # ------------------------------------------------------------------
 
-    def tours(self):
-        """All tours as node lists, each starting at its minimum-uid node."""
+    def _walk(self):
+        """Yield (root, nodes in sequence order) per tour, by smallest vertex.
+
+        The parent climbs and the descents each visit a node at most once, so
+        a damaged structure ends the walk instead of looping.
+        """
+        top = {}        # id(node) -> the root its parent chain reaches
         seen = set()
-        out = []
-        for v in range(self.n):
-            loop = self._loops[v]
-            if id(loop) in seen:
-                continue
-            ring = []
-            node = loop
-            while True:
-                ring.append(node)
-                seen.add(id(node))
-                node = node.nxt[0]
-                if node is loop:
+        for loop in self._loops:
+            path, x = [], loop
+            while id(x) not in top:
+                top[id(x)] = x      # a parent cycle stops here
+                path.append(x)
+                if x.parent is None:
                     break
-            start = min(range(len(ring)), key=lambda i: ring[i].uid)
-            out.append(ring[start:] + ring[:start])
-        return out
+                x = x.parent
+            root = top[id(x)]
+            top.update((id(y), root) for y in path)
+            if id(root) in seen:
+                continue
+            tour, stack, x = [], [], root
+            while True:
+                while x is not None and id(x) not in seen:
+                    seen.add(id(x))
+                    stack.append(x)
+                    x = x.left
+                if not stack:
+                    break
+                x = stack.pop()
+                tour.append(x)
+                x = x.right
+            yield root, tour
+
+    def tours(self):
+        """All tours as node lists in sequence order, by smallest vertex; see ``_walk``."""
+        return [tour for _, tour in self._walk()]
 
     def audit(self):
-        """Structural self-check: tour validity, ring pointers, augmented-sum exactness."""
+        """Structural self-check: tour sequences, treap links, heap order, exact sums."""
         problems = []
-        arc_nodes = 0
-        for tour in self.tours():
+        listed = set()
+        arc_nodes = []
+        for root, tour in self._walk():
+            listed.update(id(node) for node in tour)
+            sound = len(problems)
+            if root.parent is not None:
+                problems.append(f"treap: root uid={root.uid} has parent uid={root.parent.uid}")
+            for node in tour:
+                for child in (node.left, node.right):
+                    if child is not None and child.parent is not node:
+                        problems.append(f"treap: parent of uid={child.uid} is not uid={node.uid}")
+                    if child is not None and child.prio > node.prio:
+                        problems.append(f"treap: uid={child.uid} outranks its parent uid={node.uid}")
+            # exact sums, children first, on a sound tree only
+            if len(problems) == sound:
+                order = [root]
+                for node in order:
+                    order.extend(c for c in (node.left, node.right) if c is not None)
+                exact = {}
+                for node in reversed(order):
+                    kids = [exact[id(c)] for c in (node.left, node.right) if c is not None]
+                    s = exact[id(node)] = [sum(t) for t in zip(node.own, *kids)]
+                    if s != node.sums:
+                        problems.append(f"sums: uid={node.uid} stores {node.sums}, subtree has {s}")
+            # the sequence is an Euler tour of a tree
             loops_seen = set()
             arcs_seen = set()
-            first = tour[0]
-            cur = first.vertex if first.vertex is not None else first.arc[0]
+            cur = start = tour[0].arc[0] if tour[0].arc else tour[0].vertex
             for node in tour:
                 if node.vertex is not None:
                     if node.vertex != cur:
@@ -482,10 +462,10 @@ class EulerTourForest:
                     if node.vertex in loops_seen:
                         problems.append(f"tour: loop {node.vertex} repeated")
                     loops_seen.add(node.vertex)
-                    if node.aug[0][_VERTS] != 1:
-                        problems.append(f"aug: loop {node.vertex} vertex count != 1")
+                    if node.own[_VERTS] != 1:
+                        problems.append(f"own: loop {node.vertex} vertex count != 1")
                 else:
-                    arc_nodes += 1
+                    arc_nodes.append(node)
                     x, y = node.arc
                     if x != cur:
                         problems.append(f"tour: arc {node.arc} leaves {cur}")
@@ -493,40 +473,8 @@ class EulerTourForest:
                         problems.append(f"tour: arc {node.arc} repeated")
                     arcs_seen.add(node.arc)
                     cur = y
-                    if node.aug[0] != [0, 0, 0]:
-                        problems.append(f"aug: arc {node.arc} carries charges")
-            # ring k links exactly the tour's nodes of height > k, in tour order
-            sound = len(problems)
-            ring, k = tour, 0
-            while ring:
-                for i, node in enumerate(ring):
-                    after = ring[(i + 1) % len(ring)]
-                    if node.nxt[k] is not after:
-                        problems.append(f"ring {k}: nxt of uid={node.uid} is not uid={after.uid}")
-                    if after.prv[k] is not node:
-                        problems.append(f"ring {k}: prv of uid={after.uid} is not uid={node.uid}")
-                k += 1
-                ring = [node for node in ring if node.height > k]
-            # the sums are walked along the rings, so only once those are sound
-            if len(problems) == sound:
-                for node in tour:
-                    for k in range(1, node.height):
-                        s0 = s1 = s2 = 0
-                        y = node
-                        while True:
-                            row = y.aug[k - 1]
-                            s0 += row[0]
-                            s1 += row[1]
-                            s2 += row[2]
-                            y = y.nxt[k - 1]
-                            if y is node or y.height > k:
-                                break
-                        if [s0, s1, s2] != node.aug[k]:
-                            problems.append(
-                                f"aug: node uid={node.uid} ring {k} stores {node.aug[k]}, "
-                                f"spans {[s0, s1, s2]}"
-                            )
-            start = first.vertex if first.vertex is not None else first.arc[0]
+                    if node.own != [0, 0, 0]:
+                        problems.append(f"own: arc {node.arc} carries charges")
             if cur != start:
                 problems.append("tour: walk does not return to its start")
             for x, y in arcs_seen:
@@ -534,9 +482,9 @@ class EulerTourForest:
                     problems.append(f"tour: arc {x}->{y} without its reverse")
             if len(arcs_seen) != 2 * (len(loops_seen) - 1):
                 problems.append("tour: arc count does not match a tree tour")
-        if arc_nodes != len(self._arcs):
+        for loop in self._loops:
+            if id(loop) not in listed:
+                problems.append(f"tour: loop {loop.vertex} is in no tour")
+        if len(arc_nodes) != len(self._arcs) or any(self._arcs.get(a.arc) is not a for a in arc_nodes):
             problems.append("tour: registered arcs differ from toured arcs")
         return problems
-
-
-_KIND_NAME = {_NONTREE: "nontree", _TREE: "tree"}

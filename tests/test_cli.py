@@ -167,3 +167,18 @@ def test_stats_text_pushes_per_deleted_edge():
     out = stats_text(counters)
     assert "pushes_per_deleted_edge=2.0000" in out
     assert "rounds[i=2]=3" in out
+
+
+def test_run_report_does_not_depend_on_the_engine_seed(tmp_path, capsys):
+    script = generate(256, 60, 12, mix=(0.45, 0.35, 0.2), seed=4)
+    path = tmp_path / "w.txt"
+    path.write_text(script.serialize())
+
+    def report(seed):
+        assert main(["run", str(path), "--strategy", "interleaved", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        return [l for l in out.splitlines() if not l.startswith(("seed=", "time_"))]
+
+    lines = report(0)
+    assert "P=0" not in lines
+    assert report(9) == lines

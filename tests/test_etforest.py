@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import random
+import signal
 
 import pytest
 
@@ -147,21 +149,138 @@ def test_component_size_path():
     assert f.component_size(5) == 1
 
 
-def test_audit_names_broken_ring_pointers():
+def test_audit_names_broken_treap_links():
     f = EulerTourForest(64, seed=5)
     f.batch_link([(i, i + 1) for i in range(63)])
+    f.adjust_edge_counts([(v, "nontree", v % 3) for v in range(64)])
     assert_clean(f)
     (tour,) = f.tours()
-    ring1 = [node for node in tour if node.height > 1]
-    node = ring1[3]
-    node.prv[1] = ring1[5]
-    assert f.audit() == [f"ring 1: prv of uid={node.uid} is not uid={ring1[2].uid}"]
-    node.prv[1] = ring1[2]
+    root = next(node for node in tour if node.parent is None)
+    node = next(node for node in tour if node.parent not in (None, root))
+    parent = node.parent
+    # a parent pointer that skips a level
+    node.parent = root
+    assert f.audit() == [f"treap: parent of uid={node.uid} is not uid={parent.uid}"]
+    node.parent = parent
     assert_clean(f)
-    ring2 = [node for node in tour if node.height > 2]
-    node = ring2[0]
-    node.nxt[2] = ring2[2]
-    assert f.audit() == [f"ring 2: nxt of uid={node.uid} is not uid={ring2[1].uid}"]
+    # a child that outranks its parent
+    prio = node.prio
+    node.prio = (parent.prio + parent.parent.prio) / 2
+    assert f.audit() == [f"treap: uid={node.uid} outranks its parent uid={parent.uid}"]
+    node.prio = prio
+    assert_clean(f)
+    # a subtree sum that missed an update
+    exact = list(node.sums)
+    node.sums[0] += 1
+    assert f.audit() == [f"sums: uid={node.uid} stores {node.sums}, subtree has {exact}"]
+    node.sums[0] -= 1
+    assert_clean(f)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging (SIGALRM, main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_audit_ends_on_a_parent_pointer_into_another_tour(seed):
+    # seed 0 makes loop 0 its treap's root, seed 1 a child
+    f = EulerTourForest(8, seed=seed)
+    f.batch_link([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+    loop = f._loops[0]
+    parent = loop.parent
+    assert (parent is None) == (seed == 0)
+    loop.parent = f._loops[5]
+    with time_limit(5):
+        problems = f.audit()
+        assert len(f.tours()) <= 2
+    if parent is None:       # the climbs from path 0-3 all end in the other tour
+        assert problems[0] == "tour: loop 0 is in no tour"
+    else:
+        assert problems == [f"treap: parent of uid=0 is not uid={parent.uid}"]
+
+
+def test_audit_ends_on_a_child_pointer_to_an_ancestor():
+    f = EulerTourForest(64, seed=5)
+    f.batch_link([(i, i + 1) for i in range(63)])
+    (tour,) = f.tours()
+    root = next(node for node in tour if node.parent is None)
+    leaf = next(node for node in tour if node.left is None and node.right is None)
+    leaf.left = root
+    with time_limit(5):
+        assert f.tours() == [tour]
+        assert f.audit() == [
+            f"treap: parent of uid={root.uid} is not uid={leaf.uid}",
+            f"treap: uid={root.uid} outranks its parent uid={leaf.uid}",
+        ]
+
+
+def forest_state(f):
+    """Every tour's nodes with priority, links and charges, the arc table and
+    the random stream, so that any change a rejected batch made shows."""
+    def uid(node):
+        return None if node is None else node.uid
+
+    tours = [
+        [(x.uid, x.prio, uid(x.parent), uid(x.left), uid(x.right), list(x.own), list(x.sums))
+         for x in tour]
+        for tour in f.tours()
+    ]
+    return tours, {key: x.uid for key, x in f._arcs.items()}, f._next_uid, f._rng.getstate()
+
+
+def test_rejected_batches_change_nothing():
+    f = EulerTourForest(16, seed=3)
+    f.batch_link([(0, 1), (1, 2), (2, 3), (5, 6), (8, 9), (9, 10)])
+    f.adjust_edge_counts([(v, "nontree", v % 4) for v in range(16)] + [(2, "tree", 3)])
+    before = forest_state(f)
+    # the last edge closes a cycle with the earlier ones
+    with pytest.raises(CycleError):
+        f.batch_link([(3, 4), (4, 5), (6, 7), (7, 0)])
+    assert forest_state(f) == before
+    # the last edge is not linked
+    with pytest.raises(MissingEdgeError):
+        f.batch_cut([(1, 2), (5, 6), (9, 10), (3, 8)])
+    assert forest_state(f) == before
+    assert_clean(f)
+
+
+def max_depth(forest):
+    deepest = 0
+    for tour in forest.tours():
+        level = [node for node in tour if node.parent is None]
+        depth = 0
+        while level:
+            depth += 1
+            level = [c for x in level for c in (x.left, x.right) if c is not None]
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def test_long_path_keeps_treaps_shallow():
+    # _merge and _collect recurse once per treap level, so the depth must
+    # stay far below the interpreter's recursion limit
+    n = 1 << 15
+    f, store = forest_with_store(n, seed=15)
+    for v in range(n - 1):
+        f.batch_link([(v, v + 1)])
+    f.insert_level_edges([StubEdge(v, v + 2) for v in range(n - 2)], "nontree")
+    assert len(f.fetch_level_edges(0, f.num_nontree_edges(0), "nontree")) == n - 2
+    assert max_depth(f) <= 100
+    f.batch_cut([(v, v + 1) for v in range(1, n - 1, 2)])
+    assert f.component_size(0) == 2
+    assert_clean(f)
+    assert max_depth(f) <= 100
 
 
 def test_cut_arcs_are_freed_by_reference_counting():
@@ -254,11 +373,11 @@ def test_seeded_reproducibility():
         return f.batch_find_repr(list(range(32)))
 
     assert build(123) == build(123)
-    # different seeds may or may not differ; heights must at least be seeded
+    # different seeds may or may not differ; priorities must at least be seeded
     f1, f2 = EulerTourForest(64, seed=1), EulerTourForest(64, seed=2)
-    h1 = [f1._loops[v].height for v in range(64)]
-    h2 = [f2._loops[v].height for v in range(64)]
-    assert h1 != h2
+    p1 = [f1._loops[v].prio for v in range(64)]
+    p2 = [f2._loops[v].prio for v in range(64)]
+    assert p1 != p2
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +390,7 @@ def recompute_totals(forest, v, idx):
     for tour in forest.tours():
         verts = [node.vertex for node in tour if node.vertex is not None]
         if v in verts:
-            return sum(node.aug[0][idx] for node in tour if node.vertex is not None)
+            return sum(node.own[idx] for node in tour if node.vertex is not None)
     raise AssertionError("vertex not found in any tour")
 
 
@@ -346,7 +465,7 @@ def register(forest, store, u, v, kind):
 
 def arrays_and_charges(forest, store):
     arrays = {key: [(e.u, e.v) for e in arr] for key, arr in store.arrays()}
-    charges = [tuple(forest._loops[v].aug[0]) for v in range(forest.n)]
+    charges = [tuple(forest._loops[v].own) for v in range(forest.n)]
     return arrays, charges
 
 
