@@ -19,12 +19,15 @@ edges enter and leave both only through F_i's ``insert_level_edges`` and
 
 Batches are validated up front and applied atomically. Deleting tree edges
 triggers a bottom-up replacement search over the affected levels, using one
-of two strategies: ``simple`` restarts a doubling scan per round and moves
-examined edges down a level eagerly; ``interleaved`` keeps one global
-doubling schedule per level, defers all forest insertions and level
-decreases to the end of the level, and tracks merged components in a
-supercomponent map so oversized merges stop pushing. Work counters record
-every level decrease for amortization checks.
+of two strategies: ``simple`` restarts a doubling scan per round; it moves
+examined edges down a level and links each round's replacements into
+F_i .. F_L at once. ``interleaved`` keeps one global doubling schedule per
+level and tracks merged components in a supercomponent map so oversized
+merges stop pushing; each round moves the windows it examined down a level
+at once, and only the replacements' links into F_i .. F_L wait for the end
+of the level, because F_i must stay fixed during its rounds. Every edge
+move happens once, where it is decided. Work counters record every level
+decrease for amortization checks.
 """
 
 from __future__ import annotations
@@ -326,14 +329,14 @@ class LevelStructure:
             buckets = {}
             for rec in tree_recs:
                 buckets.setdefault(rec.level, []).extend((rec.u, rec.v))
+            search = (
+                self.interleaved_level_search
+                if self.strategy == "interleaved"
+                else self.parallel_level_search
+            )
             carried = []
-            found = []
             for i in range(min(buckets), self.levels + 1):
-                incoming = carried + buckets.get(i, [])
-                if self.strategy == "interleaved":
-                    carried, found = self.interleaved_level_search(i, incoming, found)
-                else:
-                    carried, found = self.parallel_level_search(i, incoming, found)
+                carried = search(i, carried + buckets.get(i, []))
         finally:
             self._batch = None
 
@@ -368,23 +371,38 @@ class LevelStructure:
         """Move all level-i tree edges of handle's tree down to level i-1."""
         fi = self.forests[i]
         cnt = fi.num_tree_edges(handle)
-        if cnt == 0:
-            return
-        edges = fi.fetch_level_edges(handle, cnt, TREE)
-        self._push_edges(i, edges, TREE)
-        self.forests[i - 1].batch_link([rec.key for rec in edges])
+        if cnt:
+            self._push_edges(i, fi.fetch_level_edges(handle, cnt, TREE), TREE)
 
     def _push_edges(self, i, edges, kind):
-        """Move level-i edges of one kind to level i-1, keeping their status."""
+        """Move level-i edges out of their ``kind`` arrays down to level i-1.
+
+        Each edge is filed at level i-1 under its own status, and the tree
+        edges among them are linked in F_(i-1).
+        """
         if not edges:
             return
         self.forests[i].remove_level_edges(edges[0].u, edges, kind)
         for rec in edges:
             self._set_level(rec, i - 1)
-        self.forests[i - 1].insert_level_edges(edges, kind)
+        lower = self.forests[i - 1]
+        tree = [rec for rec in edges if rec.status == TREE]
+        lower.insert_level_edges([rec for rec in edges if rec.status == NONTREE], NONTREE)
+        if tree:
+            lower.insert_level_edges(tree, TREE)
+            lower.batch_link([rec.key for rec in tree])
+
+    def _link_up(self, i, edges):
+        """Link new tree edges of level i into F_i .. F_L."""
+        if not edges:
+            return
+        keys = [rec.key for rec in edges]
+        for j in range(i, self.levels + 1):
+            self.forests[j].batch_link(keys)
 
     def _promote_to_tree(self, i, edges):
-        """Flip level-i non-tree edges to tree status (level unchanged)."""
+        """File level-i replacements, still in their non-tree arrays, as
+        tree edges (level unchanged)."""
         if not edges:
             return
         fi = self.forests[i]
@@ -443,16 +461,14 @@ class LevelStructure:
                 return []
             w <<= 1
 
-    def parallel_level_search(self, i, components, found):
+    def parallel_level_search(self, i, components):
         """Round-based replacement search at level i, eager level decreases.
 
-        ``components`` are vertex handles of the disconnected pieces,
-        ``found`` the replacement tree edges discovered at lower levels (not
-        yet linked here). Returns (deactivated handles, found edges so far).
+        ``components`` are vertex handles of the disconnected pieces. Each
+        round links its selected replacements into F_i .. F_L at once.
+        Returns the handles to carry to level i+1, one per tree of F_i.
         """
         fi = self.forests[i]
-        if found:
-            fi.batch_link([rec.key for rec in found])
         half = 1 << (i - 1)
         groups = list(self._group_components(i, components).values())
         active = []
@@ -471,20 +487,16 @@ class LevelStructure:
             for h in active:
                 self._push_tree_edges(i, h)
             # the searches push edges down but never link or cut F_i, so the
-            # representatives they report are still current here
+            # representatives they report are still current here; two pieces
+            # may report the same edge, which the spanning forest selects once
             replacements = []
-            seen = set()
             for h in active:
-                for rec, ru, rv in self.component_search(i, h):
-                    if rec.key not in seen:
-                        seen.add(rec.key)
-                        replacements.append((rec, ru, rv))
+                replacements.extend(self.component_search(i, h))
             if replacements:
                 chosen = spanning_forest([(ru, rv) for _, ru, rv in replacements])
                 selected = [replacements[j][0] for j in chosen]
                 self._promote_to_tree(i, selected)
-                fi.batch_link([rec.key for rec in selected])
-                found.extend(selected)
+                self._link_up(i, selected)
             survivors = []
             for h in self._group_components(i, active).values():
                 if fi.component_size(h) > half or fi.num_nontree_edges(h) == 0:
@@ -492,27 +504,26 @@ class LevelStructure:
                 else:
                     survivors.append(h)
             active = survivors
-        return done, found
+        return done
 
     # ------------------------------------------------------------------
     # replacement search, interleaved variant
     # ------------------------------------------------------------------
 
-    def interleaved_level_search(self, i, components, found):
+    def interleaved_level_search(self, i, components):
         """Replacement search with one global doubling schedule per level.
 
-        Forest insertions and level decreases are deferred: selected
-        replacement edges accumulate in T and are linked here only at the end
-        of the level, merged components are tracked in a supercomponent map,
-        and each round's examined window is buffered for a level decrease
-        only while the supercomponent is still small and unexhausted.
-        Whenever a window is buffered, the tree edges merged into that
-        supercomponent so far are buffered with it, which keeps every moved
-        non-tree edge's forest path at or below its new level.
+        F_i stays fixed during the rounds: selected replacement edges
+        accumulate in T, merged components are tracked in a supercomponent
+        map, and T is linked into F_i .. F_L only at the end of the level.
+        Each round moves the windows it examined down a level at once, but
+        only while their supercomponent is still small and unexhausted, and
+        takes along the tree edges merged into that supercomponent so far,
+        which keeps every moved non-tree edge's forest path at or below its
+        new level. A moved edge of T is filed as a tree edge at level i-1
+        and linked in F_(i-1). Returns the handles to carry to level i+1.
         """
         fi = self.forests[i]
-        if found:
-            fi.batch_link([rec.key for rec in found])
         half = 1 << (i - 1)
         piece_by_repr = self._group_components(i, components)
         groups = list(piece_by_repr.values())
@@ -522,9 +533,7 @@ class LevelStructure:
         for h in active:
             self._push_tree_edges(i, h)
         supers = _SuperMap(sizes)
-        buffered = {}            # key -> record, insertion ordered
-        selected_all = []        # T, in selection order
-        selected_keys = set()
+        selected = []            # T, in selection order
         r = 0
         prev_window = {}
         while active:
@@ -545,17 +554,11 @@ class LevelStructure:
                 windows[h] = (
                     fi.fetch_level_edges(h, min(w, w_max), NONTREE) if w_max else []
                 )
-            # classify replacements against the per-level piece partition
-            ordered = []
-            seen = set()
-            for h in active:
-                for rec in windows[h]:
-                    if rec.key not in seen:
-                        seen.add(rec.key)
-                        ordered.append(rec)
-            repl = self._replacements(i, ordered)
-            # spanning forest over supercomponent labels; intra-super edges
-            # become self loops and are never selected
+            # classify replacements against the per-level piece partition; an
+            # edge in two windows comes with the same pair twice, and an edge
+            # already in T is a self loop, so the spanning forest adds each
+            # supercomponent merge once
+            repl = self._replacements(i, [rec for h in active for rec in windows[h]])
             pairs = []
             for rec, ru, rv in repl:
                 hu = piece_by_repr.get(ru)
@@ -569,24 +572,24 @@ class LevelStructure:
                 pairs.append((supers.find(hu), supers.find(hv)))
             for j in spanning_forest(pairs):
                 rec = repl[j][0]
-                selected_all.append(rec)
-                selected_keys.add(rec.key)
+                rec.status = TREE
+                selected.append(rec)
                 supers.union(pairs[j][0], pairs[j][1], rec)
-            # buffer windows (and their supercomponents' tree edges) while
+            # move windows (and their supercomponents' tree edges) down while
             # the supercomponent stays small and the window was not the rest
+            moving = {}
             cur_window = {}
             for h in active:
                 w_max = w_maxes[h]
                 w_eff = min(w, w_max)
                 root = supers.find(h)
                 if supers.size(root) <= half and w_eff < w_max:
-                    for rec in windows[h]:
-                        self._buffer_push(i, rec, buffered)
-                    for rec in supers.take_tree_edges(root):
-                        self._buffer_push(i, rec, buffered)
+                    for rec in windows[h] + supers.take_tree_edges(root):
+                        moving[rec.key] = rec
                     cur_window[h] = len(windows[h])
                 else:
                     cur_window[h] = 0
+            self._push_edges(i, list(moving.values()), NONTREE)
             survivors = []
             for h in active:
                 exhausted = min(w, w_maxes[h]) >= w_maxes[h]
@@ -601,29 +604,10 @@ class LevelStructure:
             active = survivors
             prev_window = cur_window
             r += 1
-        # level end: promote unmoved tree edges here, move the buffer down
-        self._promote_to_tree(i, [rec for rec in selected_all if rec.key not in buffered])
-        if buffered:
-            lower = self.forests[i - 1]
-            moved_tree = [rec for key, rec in buffered.items() if key in selected_keys]
-            for rec in moved_tree:
-                rec.status = TREE
-            lower.insert_level_edges(
-                [rec for key, rec in buffered.items() if key not in selected_keys], NONTREE
-            )
-            lower.insert_level_edges(moved_tree, TREE)
-            if moved_tree:
-                lower.batch_link([rec.key for rec in moved_tree])
-        fi.batch_link([rec.key for rec in selected_all])
-        found.extend(selected_all)
-        return done, found
-
-    def _buffer_push(self, i, rec, buffered):
-        """Pull a level-i non-tree entry out of its level into the buffer."""
-        if rec.key not in buffered:
-            buffered[rec.key] = rec
-            self.forests[i].remove_level_edges(rec.u, [rec], NONTREE)
-            self._set_level(rec, i - 1)
+        # level end: file the unmoved part of T as tree edges, link all of T
+        self._promote_to_tree(i, [rec for rec in selected if rec.level == i])
+        self._link_up(i, selected)
+        return done
 
     # ------------------------------------------------------------------
     # audit
@@ -673,14 +657,14 @@ class LevelStructure:
                 failures.append(
                     f"nesting: forest {i} links {sorted(got ^ want)} unexpectedly"
                 )
-        # per-forest structure: tour validity and augmented sums
+        # per-forest structure: tour validity, augmented sums and charges
         for i in range(1, self.levels + 1):
             for problem in self.forests[i].audit():
                 failures.append(f"forest {i}: {problem}")
-        # adjacency arrays: back-indices, membership, charges
+        # adjacency arrays: back-indices and membership (each forest checks
+        # its charges against them above)
         for problem in self.adj.audit():
             failures.append(problem)
-        counted = {}
         for (vertex, level, kind), arr in self.adj.arrays():
             for rec in arr:
                 if rec.level != level or rec.status != kind or vertex not in (rec.u, rec.v):
@@ -689,23 +673,10 @@ class LevelStructure:
                     )
                 if rec.key not in self.edges:
                     failures.append(f"arrays: stale edge {rec.key}")
-            counted[(vertex, level, kind)] = len(arr)
         for rec in recs:
             for vertex in (rec.u, rec.v):
                 if rec.pos.get(vertex) is None:
                     failures.append(f"arrays: edge {rec.key} missing from vertex {vertex}")
-        for i in range(1, self.levels + 1):
-            fi = self.forests[i]
-            for v in range(self.n):
-                row = fi._loops[v].own
-                if row[0] != counted.get((v, i, NONTREE), 0):
-                    failures.append(
-                        f"charges: vertex {v} level {i} nontree {row[0]} != array"
-                    )
-                if row[1] != counted.get((v, i, TREE), 0):
-                    failures.append(
-                        f"charges: vertex {v} level {i} tree {row[1]} != array"
-                    )
         # per-edge level monotonicity and the global push bound
         for rec in recs:
             hist = rec.levels_seen

@@ -166,6 +166,21 @@ def _excise(x):
     return out
 
 
+def _descend(root, seen):
+    """root's subtree in sequence order, skipping (and adding to) ``seen``."""
+    tour, stack, x = [], [], root
+    while True:
+        while x is not None and id(x) not in seen:
+            seen.add(id(x))
+            stack.append(x)
+            x = x.left
+        if not stack:
+            return tour
+        x = stack.pop()
+        tour.append(x)
+        x = x.right
+
+
 class EulerTourForest:
     def __init__(self, n, level=1, adj=None, seed=0):
         if n < 1:
@@ -391,7 +406,9 @@ class EulerTourForest:
         """Yield (root, nodes in sequence order) per tour, by smallest vertex.
 
         The parent climbs and the descents each visit a node at most once, so
-        a damaged structure ends the walk instead of looping.
+        a damaged structure ends the walk instead of looping. A loop that no
+        root's descent reaches hangs below a parent that does not hold it;
+        its tour is walked last, from the node with that stray pointer.
         """
         top = {}        # id(node) -> the root its parent chain reaches
         seen = set()
@@ -405,27 +422,26 @@ class EulerTourForest:
                 x = x.parent
             root = top[id(x)]
             top.update((id(y), root) for y in path)
-            if id(root) in seen:
-                continue
-            tour, stack, x = [], [], root
-            while True:
-                while x is not None and id(x) not in seen:
-                    seen.add(id(x))
-                    stack.append(x)
-                    x = x.left
-                if not stack:
-                    break
-                x = stack.pop()
-                tour.append(x)
-                x = x.right
-            yield root, tour
+            if id(root) not in seen:
+                yield root, _descend(root, seen)
+        for loop in self._loops:
+            x, climbed = loop, set()
+            while id(x) not in seen and id(x) not in climbed:
+                climbed.add(id(x))
+                p = x.parent
+                if p is None or (p.left is not x and p.right is not x):
+                    yield x, _descend(x, seen)
+                else:
+                    x = p
 
     def tours(self):
         """All tours as node lists in sequence order, by smallest vertex; see ``_walk``."""
         return [tour for _, tour in self._walk()]
 
     def audit(self):
-        """Structural self-check: tour sequences, treap links, heap order, exact sums."""
+        """Structural self-check: tour sequences, treap links, heap order, exact
+        sums, and, with an adjacency store, each loop's charges against its
+        arrays."""
         problems = []
         listed = set()
         arc_nodes = []
@@ -485,6 +501,14 @@ class EulerTourForest:
         for loop in self._loops:
             if id(loop) not in listed:
                 problems.append(f"tour: loop {loop.vertex} is in no tour")
+            if self._adj is not None:
+                for kind, idx in _KIND_INDEX.items():
+                    stored = self._adj.count(loop.vertex, self.level, kind)
+                    if loop.own[idx] != stored:
+                        problems.append(
+                            f"charges: vertex {loop.vertex} level {self.level} "
+                            f"{kind} {loop.own[idx]} != array {stored}"
+                        )
         if len(arc_nodes) != len(self._arcs) or any(self._arcs.get(a.arc) is not a for a in arc_nodes):
             problems.append("tour: registered arcs differ from toured arcs")
         return problems

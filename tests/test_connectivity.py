@@ -274,8 +274,8 @@ def test_level_search_single_replacement(searcher):
     s.batch_insert([(0, 1), (0, 2), (1, 2)])
     # (0,1) and (0,2) became tree edges; (1,2) is the lone replacement
     handles = split_into_pieces(s, [(0, 1)])
-    done, found = getattr(s, searcher)(s.levels, handles, [])
-    assert [rec.key for rec in found] == [(1, 2)]
+    getattr(s, searcher)(s.levels, handles)
+    assert s.edges.get((1, 2)).status == "tree"
     assert s.batch_connected([(0, 1)]) == [True]
     assert s.audit().ok
 
@@ -295,8 +295,10 @@ def test_component_search_exhaustion_pushes_everything():
     assert s.counters.pushes - before == 3
     for key in [(0, 2), (0, 3), (1, 3)]:
         assert s.edges.get(key).level == L - 1
-    done, found = s.parallel_level_search(L, handles, [])
-    assert found == []
+    s.parallel_level_search(L, handles)
+    # nothing was promoted: the tree edges are those left by the cut
+    tree = {key for key, rec in s.edges.items() if rec.status == "tree"}
+    assert tree == {(0, 1), (1, 2), (2, 3), (4, 5)}
     assert s.batch_connected([(0, 4), (4, 5)]) == [False, True]
     report = s.audit()
     assert report.ok, report.failures[:4]
@@ -384,14 +386,58 @@ def test_level_search_two_split_components():
     )
     handles = split_into_pieces(s, [(1, 2), (5, 6)])
     L = s.levels
-    done, found = s.parallel_level_search(L, handles, [])
-    assert {rec.key for rec in found} == {(0, 2), (5, 7)}
+    s.parallel_level_search(L, handles)
+    assert s.edges.get((0, 2)).status == s.edges.get((5, 7)).status == "tree"
     g = OracleGraph(8)
     g.apply("I", [(0, 1), (2, 3), (3, 4), (4, 5), (6, 7), (0, 2), (5, 7)])
     for u in range(8):
         for v in range(8):
             assert s.batch_connected([(u, v)]) == [g.connected(u, v)]
     # examined non-replacement edges ended one level down
+    assert s.audit().ok
+
+
+@pytest.mark.parametrize("strategy", ["simple", "interleaved"])
+def test_batch_delete_searches_only_levels_its_pieces_reach(monkeypatch, strategy):
+    # a deletion batch searches each level once, from its lowest deleted tree
+    # edge's level up, handing every level the pieces carried from below plus
+    # those cut there; no search runs without pieces, none for non-tree edges
+    calls = []
+    name = "interleaved_level_search" if strategy == "interleaved" else "parallel_level_search"
+    search = getattr(LevelStructure, name)
+
+    def recorder(self, i, components):
+        carried = search(self, i, components)
+        calls.append((i, list(components), list(carried)))
+        return carried
+
+    monkeypatch.setattr(LevelStructure, name, recorder)
+    script = generate(64, 120, 6, mix=(0.5, 0.4, 0.1), seed=5)
+    s = LevelStructure(64, seed=5, strategy=strategy)
+    searched = 0
+    for kind, pairs in script.batches:
+        if kind == "I":
+            s.batch_insert(pairs)
+        if kind != "D":
+            continue
+        cut = {}
+        for u, v in pairs:
+            rec = s.edges.get((min(u, v), max(u, v)))
+            if rec.status == "tree":
+                cut.setdefault(rec.level, []).extend((rec.u, rec.v))
+        calls.clear()
+        s.batch_delete(pairs)
+        if not cut:
+            assert calls == []
+            continue
+        assert [i for i, _, _ in calls] == list(range(min(cut), s.levels + 1))
+        carried = []
+        for i, components, out in calls:
+            assert components == carried + cut.get(i, [])
+            assert components and out
+            carried = out
+        searched += 1
+    assert searched > 10
     assert s.audit().ok
 
 
@@ -571,6 +617,20 @@ def test_audit_names_size_bound_on_corruption():
     assert any("component-size-bound" in f for f in report.failures)
 
 
+def test_audit_names_a_charge_that_differs_from_its_array():
+    s = LevelStructure(8, seed=9)
+    s.batch_insert([(0, 1), (1, 2), (0, 2)])
+    L = s.levels
+    # charges changed without their arrays, at the edges' level and below
+    for i, v, kind, stored in [(L, 2, "nontree", 1), (1, 5, "tree", 0)]:
+        s.forests[i].adjust_edge_counts([(v, kind, 1)])
+        assert s.audit().failures == [
+            f"forest {i}: charges: vertex {v} level {i} {kind} {stored + 1} != array {stored}"
+        ]
+        s.forests[i].adjust_edge_counts([(v, kind, -1)])
+        assert s.audit().ok
+
+
 def test_determinism_same_seed_same_counters():
     def run():
         rng = random.Random(3)
@@ -615,6 +675,13 @@ PINNED_TOURS = {
     "interleaved": "4bcd4210e10a431ba94e12e32fd8fb6987185dc67703d03543f6ee204012be6b",
 }
 
+# SHA-256 over every non-empty adjacency array's slot order and every edge's
+# (level, status, levels_seen)
+PINNED_ARRAYS = {
+    "simple": "2e7719822e9b79d4b45abd8de115d3a2c26b1292b462550e85fc2d4d7a25d32f",
+    "interleaved": "3f9f25f52118e33c732ee72d8acb9f931761e248de09724970ac715759654d03",
+}
+
 
 def run_pinned_workload(strategy, seed):
     """Replay the pinned mixed workload; return the structure and its answers."""
@@ -637,6 +704,14 @@ def tour_sequences(s):
         [[(node.uid, tuple(node.own)) for node in tour] for tour in s.forests[i].tours()]
         for i in sorted(s.forests)
     ]
+
+
+def array_state(s):
+    """Every non-empty adjacency array's slot order, then every edge's level,
+    status and level history."""
+    arrays = sorted((key, [rec.key for rec in arr]) for key, arr in s.adj.arrays() if arr)
+    edges = [(key, rec.level, rec.status, rec.levels_seen) for key, rec in sorted(s.edges.items())]
+    return arrays, edges
 
 
 def fetch_orders(s):
@@ -664,6 +739,9 @@ def test_pinned_counters(strategy):
     # and the tour sequences themselves, with every loop's charges
     digest = hashlib.sha256(repr(tour_sequences(s)).encode())
     assert digest.hexdigest() == PINNED_TOURS[strategy]
+    # and the adjacency arrays' slot order with every edge's level history
+    digest = hashlib.sha256(repr(array_state(s)).encode())
+    assert digest.hexdigest() == PINNED_ARRAYS[strategy]
 
 
 @pytest.mark.parametrize("strategy", sorted(PINNED))
