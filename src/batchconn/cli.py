@@ -26,6 +26,16 @@ from .oracle import OracleGraph
 from .workload import ScriptError, WorkloadScript, generate, parse_script
 
 
+def _rounds_lines(counters):
+    """One ``rounds[i=..]`` line per level: the rounds summed over batches."""
+    by_level = {}
+    for key, cnt in counters.get("rounds_by_batch_level", {}).items():
+        _, i = key.split(":")
+        by_level[int(i)] = by_level.get(int(i), 0) + cnt
+    levels = counters.get("levels", 0)
+    return [f"rounds[i={i}]={by_level.get(i, 0)}" for i in range(1, levels + 1)]
+
+
 class RunReport:
     def __init__(self, script_name, n, seed, strategy, verify):
         self.script_name = script_name
@@ -63,7 +73,6 @@ class RunReport:
         sizes = self.counters.get("deletion_batch_sizes", [])
         lines.append("k_b=" + ",".join(str(x) for x in sizes))
         matrix = self.counters.get("pushes_by_batch_level", {})
-        rounds = self.counters.get("rounds_by_batch_level", {})
         by_batch = {}
         for key, cnt in matrix.items():
             b, i = key.split(":")
@@ -73,12 +82,7 @@ class RunReport:
             row = by_batch.get(b, {})
             cells = ",".join(str(row.get(i, 0)) for i in range(1, levels + 1))
             lines.append(f"p[b={b}]={cells}")
-        round_by_level = {}
-        for key, cnt in rounds.items():
-            _, i = key.split(":")
-            round_by_level[int(i)] = round_by_level.get(int(i), 0) + cnt
-        for i in range(1, levels + 1):
-            lines.append(f"rounds[i={i}]={round_by_level.get(i, 0)}")
+        lines += _rounds_lines(self.counters)
         for idx, kind, size, outcome in self.batch_lines:
             lines.append(f"batch[{idx}]={kind} size={size} {outcome}")
         for f in self.failures:
@@ -109,13 +113,12 @@ def run_script(
     script: WorkloadScript,
     strategy: str = "simple",
     verify: str = "none",
-    seed=None,
     name: str = "<script>",
 ) -> RunReport:
-    """Replay a workload; returns the report (failures collected, not raised)."""
-    engine_seed = script.seed if seed is None else seed
-    report = RunReport(name, script.n, engine_seed, strategy, verify)
-    engine = LevelStructure(script.n, seed=engine_seed, strategy=strategy)
+    """Replay a workload under its header's seed; returns the report
+    (failures collected, not raised)."""
+    report = RunReport(name, script.n, script.seed, strategy, verify)
+    engine = LevelStructure(script.n, seed=script.seed, strategy=strategy)
     oracle = OracleGraph(script.n) if verify in ("oracle", "full-audit") else None
     t_start = time.perf_counter()
     for idx, (kind, pairs) in enumerate(script.batches):
@@ -175,7 +178,6 @@ def stats_text(counters: dict) -> str:
     K = counters.get("K", 0)
     d = counters.get("d", 0)
     bound = counters.get("push_bound", 0)
-    levels = counters.get("levels", 0)
     lines = [
         f"P={P}",
         f"push_bound=m*L={bound}",
@@ -186,13 +188,7 @@ def stats_text(counters: dict) -> str:
         f"d={d}",
         f"delta={counters.get('delta', 0.0):.4f}",
     ]
-    rounds = counters.get("rounds_by_batch_level", {})
-    hist = {}
-    for key, cnt in rounds.items():
-        _, i = key.split(":")
-        hist[int(i)] = hist.get(int(i), 0) + cnt
-    for i in range(1, levels + 1):
-        lines.append(f"rounds[i={i}]={hist.get(i, 0)}")
+    lines += _rounds_lines(counters)
     return "\n".join(lines) + "\n"
 
 
@@ -228,8 +224,6 @@ def main(argv=None) -> int:
     r.add_argument("script", help="script path, - for stdin")
     r.add_argument("--strategy", choices=["simple", "interleaved"], default="simple")
     r.add_argument("--verify", choices=["none", "oracle", "full-audit"], default="none")
-    r.add_argument("--seed", type=int, default=None,
-                   help="override the script's engine seed")
     r.add_argument("--out", default=None,
                    help="also write a machine-readable JSON report here")
 
@@ -264,7 +258,6 @@ def main(argv=None) -> int:
                 script,
                 strategy=args.strategy,
                 verify=args.verify,
-                seed=args.seed,
                 name=args.script,
             )
             sys.stdout.write(report.to_text())

@@ -23,11 +23,13 @@ of two strategies: ``simple`` restarts a doubling scan per round; it moves
 examined edges down a level and links each round's replacements into
 F_i .. F_L at once. ``interleaved`` keeps one global doubling schedule per
 level and tracks merged components in a supercomponent map so oversized
-merges stop pushing; each round moves the windows it examined down a level
-at once, and only the replacements' links into F_i .. F_L wait for the end
-of the level, because F_i must stay fixed during its rounds. Every edge
-move happens once, where it is decided. Work counters record every level
-decrease for amortization checks.
+merges stop pushing; one pass per round decides each piece's fate and
+moves the windows it examined down a level at once, and only the
+replacements' links into F_i .. F_L wait for the end of the level, because
+F_i must stay fixed during its rounds. A new batch's tree edges are chosen
+by the same replacement test and spanning forest the searches use. Every
+edge move and status change happens once, where it is decided. Work
+counters record every level decrease for amortization checks.
 """
 
 from __future__ import annotations
@@ -209,7 +211,6 @@ class LevelStructure:
         if strategy not in ("simple", "interleaved"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.n = n
-        self.seed = seed
         self.strategy = strategy
         self.levels = max(1, (n - 1).bit_length())
         self.adj = AdjacencyStore()
@@ -267,21 +268,13 @@ class LevelStructure:
         top = self.levels
         fl = self.forests[top]
         self.counters.edges_inserted += len(edges)
-        verts = []
-        for u, v in edges:
-            verts.append(u)
-            verts.append(v)
-        reprs = fl.batch_find_repr(verts)
-        repr_pairs = [(reprs[2 * j], reprs[2 * j + 1]) for j in range(len(edges))]
-        chosen = set(spanning_forest(repr_pairs))
-        records = []
-        dict_ops = []
-        for j, (u, v) in enumerate(edges):
-            status = TREE if j in chosen else NONTREE
-            rec = EdgeRecord(u, v, top, status)
-            records.append(rec)
-            dict_ops.append(("insert", (u, v), rec))
-        self.edges.apply(dict_ops)
+        records = [EdgeRecord(u, v, top, NONTREE) for u, v in edges]
+        # the new tree edges are a spanning forest of the edges that join
+        # different trees of F_L, as a level search selects its replacements
+        repl = self._replacements(top, records)
+        for j in spanning_forest([(ru, rv) for _, ru, rv in repl]):
+            repl[j][0].status = TREE
+        self.edges.apply([("insert", rec.key, rec) for rec in records])
         # group array insertions by (endpoint, status) run
         keyed = []
         deltas = []
@@ -401,19 +394,18 @@ class LevelStructure:
             self.forests[j].batch_link(keys)
 
     def _promote_to_tree(self, i, edges):
-        """File level-i replacements, still in their non-tree arrays, as
-        tree edges (level unchanged)."""
+        """Refile level-i edges already marked ``TREE`` from their non-tree
+        arrays to their tree arrays (level unchanged)."""
         if not edges:
             return
         fi = self.forests[i]
         fi.remove_level_edges(edges[0].u, edges, NONTREE)
-        for rec in edges:
-            rec.status = TREE
         fi.insert_level_edges(edges, TREE)
 
     def _replacements(self, i, window):
-        """``(edge, repr_u, repr_v)`` for the window edges whose endpoints lie
-        in different trees of F_i."""
+        """``(edge, repr_u, repr_v)`` for the edges whose endpoints lie in
+        different trees of F_i: a search window's replacements, or a new
+        batch's candidate tree edges at level L."""
         if not window:
             return []
         verts = []
@@ -493,8 +485,11 @@ class LevelStructure:
             for h in active:
                 replacements.extend(self.component_search(i, h))
             if replacements:
-                chosen = spanning_forest([(ru, rv) for _, ru, rv in replacements])
-                selected = [replacements[j][0] for j in chosen]
+                selected = []
+                for j in spanning_forest([(ru, rv) for _, ru, rv in replacements]):
+                    rec = replacements[j][0]
+                    rec.status = TREE
+                    selected.append(rec)
                 self._promote_to_tree(i, selected)
                 self._link_up(i, selected)
             survivors = []
@@ -516,11 +511,13 @@ class LevelStructure:
         F_i stays fixed during the rounds: selected replacement edges
         accumulate in T, merged components are tracked in a supercomponent
         map, and T is linked into F_i .. F_L only at the end of the level.
-        Each round moves the windows it examined down a level at once, but
-        only while their supercomponent is still small and unexhausted, and
-        takes along the tree edges merged into that supercomponent so far,
-        which keeps every moved non-tree edge's forest path at or below its
-        new level. A moved edge of T is filed as a tree edge at level i-1
+        One pass per round decides each piece: it moves its window down a
+        level, with the tree edges merged into its supercomponent so far,
+        exactly when the supercomponent has at most 2^(i-1) vertices and the
+        window was not the rest; every other piece is done. A moved piece
+        stays active while its tree keeps non-tree edges. Taking the tree
+        edges along keeps every moved non-tree edge's forest path at or below
+        its new level; a moved edge of T is filed as a tree edge at level i-1
         and linked in F_(i-1). Returns the handles to carry to level i+1.
         """
         fi = self.forests[i]
@@ -535,7 +532,7 @@ class LevelStructure:
         supers = _SuperMap(sizes)
         selected = []            # T, in selection order
         r = 0
-        prev_window = {}
+        moved = {}               # piece -> size of the window it moved last round
         while active:
             w = 1 << r
             self.counters.record_round(i, self._batch)
@@ -543,7 +540,7 @@ class LevelStructure:
                 need = 1 << (r - 1)
                 for h in active:
                     self.counters.doubling_checks += 1
-                    if prev_window.get(h, 0) < need:
+                    if moved[h] < need:
                         self.counters.doubling_violations += 1
             windows = {}
             w_maxes = {}
@@ -575,34 +572,22 @@ class LevelStructure:
                 rec.status = TREE
                 selected.append(rec)
                 supers.union(pairs[j][0], pairs[j][1], rec)
-            # move windows (and their supercomponents' tree edges) down while
-            # the supercomponent stays small and the window was not the rest
+            # the one decision per piece: move (window and supercomponent
+            # tree edges, all in one push) or done
             moving = {}
-            cur_window = {}
+            moved = {}
             for h in active:
-                w_max = w_maxes[h]
-                w_eff = min(w, w_max)
                 root = supers.find(h)
-                if supers.size(root) <= half and w_eff < w_max:
+                if supers.size(root) <= half and w < w_maxes[h]:
                     for rec in windows[h] + supers.take_tree_edges(root):
                         moving[rec.key] = rec
-                    cur_window[h] = len(windows[h])
+                    moved[h] = len(windows[h])
                 else:
-                    cur_window[h] = 0
-            self._push_edges(i, list(moving.values()), NONTREE)
-            survivors = []
-            for h in active:
-                exhausted = min(w, w_maxes[h]) >= w_maxes[h]
-                if (
-                    supers.size(h) > half
-                    or exhausted
-                    or fi.num_nontree_edges(h) == 0
-                ):
                     done.append(h)
-                else:
-                    survivors.append(h)
-            active = survivors
-            prev_window = cur_window
+            self._push_edges(i, list(moving.values()), NONTREE)
+            active = []
+            for h in moved:
+                (active if fi.num_nontree_edges(h) else done).append(h)
             r += 1
         # level end: file the unmoved part of T as tree edges, link all of T
         self._promote_to_tree(i, [rec for rec in selected if rec.level == i])

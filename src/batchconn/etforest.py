@@ -210,16 +210,7 @@ class EulerTourForest:
         return [self._top(v).uid for v in vertices]
 
     def batch_connected(self, queries):
-        out = []
-        for item in queries:
-            u, v = as_pair(item)
-            if u != v:
-                out.append(self.find_repr(u) == self.find_repr(v))
-            else:
-                check_vertex(u, self.n)
-                check_vertex(v, self.n)
-                out.append(True)
-        return out
+        return [self.find_repr(u) == self.find_repr(v) for u, v in map(as_pair, queries)]
 
     def component_size(self, v) -> int:
         return self._top(v).sums[_VERTS]

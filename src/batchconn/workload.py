@@ -2,7 +2,7 @@
 
 Format, chosen for diff-ability and trivial parsing:
 
-    # n=<int> seed=<int>
+    # n=<int> seed=<int, may be negative>
     B I
     E <u> <v>
     B D
@@ -45,7 +45,7 @@ class WorkloadScript:
         return sum(len(pairs) for _, pairs in self.batches)
 
 
-_HEADER = re.compile(r"^# n=(\d+) seed=(\d+)$")
+_HEADER = re.compile(r"^# n=(\d+) seed=(-?\d+)$")
 
 
 def parse_script(text: str) -> WorkloadScript:

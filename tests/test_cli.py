@@ -3,7 +3,7 @@ import json
 import pytest
 
 from batchconn.cli import main, run_script, stats_text
-from batchconn.workload import generate, parse_script
+from batchconn.workload import WorkloadScript, generate, parse_script
 
 
 def strip_times(text):
@@ -36,6 +36,19 @@ def test_generate_then_run_roundtrip(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["verdict"] == "ok"
     assert payload["counters"]["push_bound_ok"] is True
+
+
+def test_generate_then_run_with_a_negative_seed(tmp_path, capsys):
+    script_path = tmp_path / "w.txt"
+    assert main([
+        "generate", "--n", "8", "--batches", "12", "--avg-batch-size", "2",
+        "--seed", "-3", "--out", str(script_path),
+    ]) == 0
+    assert script_path.read_text().startswith("# n=8 seed=-3\n")
+    assert main(["run", str(script_path), "--verify", "full-audit"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "seed=-3" in out
+    assert "verdict=ok" in out
 
 
 def test_run_is_deterministic_modulo_time(tmp_path):
@@ -156,9 +169,11 @@ def test_stats_on_malformed_report_is_input_error(tmp_path, capsys):
 def test_unknown_flag_rejected(tmp_path):
     script = tmp_path / "w.txt"
     script.write_text("# n=4 seed=0\nB I\nE 0 1\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", str(script), "--threads", "4"])
-    assert exc.value.code == 2
+    # the engine seed is the script header's; run has no override for it
+    for flag in ("--threads", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(script), flag, "4"])
+        assert exc.value.code == 2
 
 
 def test_stats_text_pushes_per_deleted_edge():
@@ -170,13 +185,16 @@ def test_stats_text_pushes_per_deleted_edge():
 
 
 def test_run_report_does_not_depend_on_the_engine_seed(tmp_path, capsys):
-    script = generate(256, 60, 12, mix=(0.45, 0.35, 0.2), seed=4)
+    # one batch list replayed under two header seeds: the seed shapes the
+    # treaps only, so the report differs in its seed= line alone
+    batches = generate(256, 60, 12, mix=(0.45, 0.35, 0.2), seed=4).batches
     path = tmp_path / "w.txt"
-    path.write_text(script.serialize())
 
     def report(seed):
-        assert main(["run", str(path), "--strategy", "interleaved", "--seed", str(seed)]) == 0
+        path.write_text(WorkloadScript(n=256, seed=seed, batches=batches).serialize())
+        assert main(["run", str(path), "--strategy", "interleaved"]) == 0
         out = capsys.readouterr().out
+        assert f"seed={seed}" in out.splitlines()
         return [l for l in out.splitlines() if not l.startswith(("seed=", "time_"))]
 
     lines = report(0)

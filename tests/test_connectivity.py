@@ -757,3 +757,59 @@ def test_pinned_workload_does_not_depend_on_the_structure_seed(strategy):
     assert len(reprs) > 1     # the seeds did build different treaps
     for run in runs[1:]:
         assert run == runs[0]
+
+
+def state_snapshot(s):
+    """Everything a batch may change, as text: every edge's key, level, status
+    and history, every adjacency array's slot order, every tour's (uid, own)
+    sequence, which holds every loop's charges, the counters and the array
+    write count."""
+    return repr((array_state(s), tour_sequences(s), s.counters.snapshot(), s.adj.slot_writes))
+
+
+def rejected_batches(s):
+    """One invalid batch per rejection kind, built against the live edges."""
+    n = s.n
+    live = s.live_edges()
+    fresh = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in s.edges]
+    absent = fresh[0]
+    return [
+        ("self loop", "I", [absent, (3, 3)], SelfLoopError),
+        ("self loop", "D", [(5, 5)], SelfLoopError),
+        ("repeated pair", "I", [absent, absent[::-1]], DuplicateEdgeError),
+        ("repeated pair", "D", [live[0], live[0]], DuplicateEdgeError),
+        ("already present", "I", [absent, live[-1]], DuplicateEdgeError),
+        ("missing edge", "D", [live[0], absent], MissingEdgeError),
+        ("out of range", "I", [(0, n)], InvalidVertexError),
+        ("out of range", "D", [(-1, 0)], InvalidVertexError),
+        ("out of range", "Q", [(0, 1), (n, 0)], InvalidVertexError),
+        ("bool vertex", "I", [(True, 2)], InvalidVertexError),
+        ("bool vertex", "D", [(0, False)], InvalidVertexError),
+        ("bool vertex", "Q", [(True, 1)], InvalidVertexError),
+        ("non-pair", "I", [(0, 1, 2)], MalformedEdgeError),
+        ("non-pair", "D", [5], MalformedEdgeError),
+        ("non-pair", "Q", [None], MalformedEdgeError),
+        ("bad after good", "I", fresh[:3] + [(1, n + 4)], InvalidVertexError),
+        ("bad after good", "D", live[:3] + [absent], MissingEdgeError),
+        ("bad after good", "Q", [(0, 1), (1, 2), (2,)], MalformedEdgeError),
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["simple", "interleaved"])
+def test_rejected_batch_leaves_the_state_unchanged(strategy):
+    script = generate(64, 60, 6, mix=(0.5, 0.35, 0.15), seed=12)
+    s = LevelStructure(64, seed=12, strategy=strategy)
+    calls = {"I": s.batch_insert, "D": s.batch_delete, "Q": s.batch_connected}
+    checked = 0
+    for idx, (kind, pairs) in enumerate(script.batches):
+        if idx % 3 == 0 and len(s.edges) >= 3:
+            before = state_snapshot(s)
+            for name, bad_kind, batch, err in rejected_batches(s):
+                with pytest.raises(err):
+                    calls[bad_kind](batch)
+                assert state_snapshot(s) == before, (name, bad_kind, batch)
+                checked += 1
+        calls[kind](pairs)
+    assert checked > 300
+    assert s.counters.deletion_batches > 10
+    assert s.audit().ok

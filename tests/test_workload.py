@@ -22,6 +22,14 @@ def test_roundtrip_generated():
     assert parse_script(s.serialize()) == s
 
 
+def test_roundtrip_negative_seed():
+    # random.Random takes negative seeds, so the header must carry them
+    text = generate(8, 5, 2, seed=-1).serialize()
+    assert text.startswith("# n=8 seed=-1\n")
+    assert parse_script(text).seed == -1
+    assert parse_script(text).serialize() == text
+
+
 def test_parse_errors():
     with pytest.raises(ScriptError):
         parse_script("")
