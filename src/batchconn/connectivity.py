@@ -13,9 +13,9 @@ Maintained invariants:
   * a tree edge of level l is linked in exactly F_l .. F_L.
 
 A level-i edge is stored twice: in its endpoints' level-i adjacency arrays
-and in the charges of F_i. Apart from the grouped insertion of a new batch,
-edges enter and leave both only through F_i's ``insert_level_edges`` and
-``remove_level_edges``, which keeps the two copies in step.
+and in the charges of F_i. Edges enter and leave both only through F_i's
+``insert_level_edges`` and ``remove_level_edges``, which keeps the two copies
+in step.
 
 Batches are validated up front and applied atomically. Deleting tree edges
 triggers a bottom-up replacement search over the affected levels, using one
@@ -231,8 +231,7 @@ class LevelStructure:
         seen = set()
         for item in pairs:
             u, v = as_pair(item)
-            check_vertex(u, self.n)
-            check_vertex(v, self.n)
+            u, v = check_vertex(u, self.n), check_vertex(v, self.n)
             if u == v:
                 raise SelfLoopError(f"self loop at {u}")
             key = (u, v) if u < v else (v, u)
@@ -275,17 +274,10 @@ class LevelStructure:
         for j in spanning_forest([(ru, rv) for _, ru, rv in repl]):
             repl[j][0].status = TREE
         self.edges.apply([("insert", rec.key, rec) for rec in records])
-        # group array insertions by (endpoint, status) run
-        keyed = []
-        deltas = []
-        for rec in records:
-            keyed.append(((rec.u, rec.status), rec))
-            keyed.append(((rec.v, rec.status), rec))
-            deltas.append((rec.u, rec.status, 1))
-            deltas.append((rec.v, rec.status, 1))
-        for (vertex, status), run in groupby(semisort(keyed), key=itemgetter(0)):
-            self.adj.insert_edges(vertex, top, status, [rec for _, rec in run])
-        fl.adjust_edge_counts(deltas)
+        # F_L files each status group; every array gets its edges in batch order
+        keyed = semisort([(rec.status, rec) for rec in records])
+        for status, run in groupby(keyed, key=itemgetter(0)):
+            fl.insert_level_edges([rec for _, rec in run], status)
         fl.batch_link([rec.key for rec in records if rec.status == TREE])
 
     # ------------------------------------------------------------------
@@ -385,22 +377,20 @@ class LevelStructure:
             lower.insert_level_edges(tree, TREE)
             lower.batch_link([rec.key for rec in tree])
 
-    def _link_up(self, i, edges):
-        """Link new tree edges of level i into F_i .. F_L."""
-        if not edges:
-            return
-        keys = [rec.key for rec in edges]
-        for j in range(i, self.levels + 1):
-            self.forests[j].batch_link(keys)
-
-    def _promote_to_tree(self, i, edges):
-        """Refile level-i edges already marked ``TREE`` from their non-tree
-        arrays to their tree arrays (level unchanged)."""
-        if not edges:
+    def _adopt(self, i, selected):
+        """Turn replacements selected at level i (already marked ``TREE``) into
+        tree edges: those still at level i move from their non-tree to their
+        tree arrays (pushed ones were filed at i-1), and all join F_i .. F_L."""
+        if not selected:
             return
         fi = self.forests[i]
-        fi.remove_level_edges(edges[0].u, edges, NONTREE)
-        fi.insert_level_edges(edges, TREE)
+        still = [rec for rec in selected if rec.level == i]
+        if still:
+            fi.remove_level_edges(still[0].u, still, NONTREE)
+            fi.insert_level_edges(still, TREE)
+        keys = [rec.key for rec in selected]
+        for j in range(i, self.levels + 1):
+            self.forests[j].batch_link(keys)
 
     def _replacements(self, i, window):
         """``(edge, repr_u, repr_v)`` for the edges whose endpoints lie in
@@ -490,8 +480,7 @@ class LevelStructure:
                     rec = replacements[j][0]
                     rec.status = TREE
                     selected.append(rec)
-                self._promote_to_tree(i, selected)
-                self._link_up(i, selected)
+                self._adopt(i, selected)
             survivors = []
             for h in self._group_components(i, active).values():
                 if fi.component_size(h) > half or fi.num_nontree_edges(h) == 0:
@@ -589,9 +578,8 @@ class LevelStructure:
             for h in moved:
                 (active if fi.num_nontree_edges(h) else done).append(h)
             r += 1
-        # level end: file the unmoved part of T as tree edges, link all of T
-        self._promote_to_tree(i, [rec for rec in selected if rec.level == i])
-        self._link_up(i, selected)
+        # level end: T joins F_i .. F_L; its unmoved part is refiled as tree edges
+        self._adopt(i, selected)
         return done
 
     # ------------------------------------------------------------------

@@ -23,6 +23,7 @@ treaps, and with them the representative that ``find_repr`` reports.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .errors import (
@@ -42,9 +43,17 @@ _KIND_INDEX = {"nontree": _NONTREE, "tree": _TREE}
 
 
 def check_vertex(v, n):
-    """Reject anything but an int in [0, n); ``bool`` is not a vertex."""
-    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
-        raise InvalidVertexError(f"vertex {v!r} outside [0, {n})")
+    """``v`` as a plain int in [0, n): any ``operator.index`` integer but a
+    ``bool``; anything else is an InvalidVertexError."""
+    x = v
+    if type(v) is not int:
+        try:
+            x = None if isinstance(v, bool) else operator.index(v)
+        except TypeError:
+            x = None
+    if x is None or not 0 <= x < n:
+        raise InvalidVertexError(f"vertex {v!r} is not an int in [0, {n})")
+    return x
 
 
 def as_pair(item):
@@ -199,8 +208,7 @@ class EulerTourForest:
     # ------------------------------------------------------------------
 
     def _top(self, v):
-        check_vertex(v, self.n)
-        return _root(self._loops[v])
+        return _root(self._loops[check_vertex(v, self.n)])
 
     def find_repr(self, v):
         """Identity of v's tour: its treap root's uid, stable until a mutation."""

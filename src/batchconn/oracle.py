@@ -7,6 +7,8 @@ independently, so engine and oracle can be compared on rejections too.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import (
     DuplicateEdgeError,
     InvalidVertexError,
@@ -24,8 +26,14 @@ class OracleGraph:
         self.edges = set()
 
     def _check_vertex(self, v):
-        if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < self.n):
-            raise InvalidVertexError(f"vertex {v!r} outside [0, {self.n})")
+        """``v`` as an int in [0, n); any integer with ``__index__`` but a bool."""
+        try:
+            value = operator.index(v)
+        except TypeError:
+            value = None
+        if isinstance(v, bool) or value is None or not (0 <= value < self.n):
+            raise InvalidVertexError(f"vertex {v!r} is not an integer in [0, {self.n})")
+        return value
 
     def _pairs(self, items):
         """Each item as a vertex-checked ``(u, v)`` pair."""
@@ -34,9 +42,7 @@ class OracleGraph:
                 u, v = item
             except (TypeError, ValueError):
                 raise MalformedEdgeError(f"{item!r} is not a (u, v) pair") from None
-            self._check_vertex(u)
-            self._check_vertex(v)
-            yield u, v
+            yield self._check_vertex(u), self._check_vertex(v)
 
     def _canon(self, pairs, for_insert):
         out = []
@@ -84,8 +90,7 @@ class OracleGraph:
         return [find(v) for v in range(self.n)]
 
     def connected(self, u, v) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = self._check_vertex(u), self._check_vertex(v)
         if u == v:
             return True
         roots = self._roots()

@@ -11,8 +11,10 @@ Format, chosen for diff-ability and trivial parsing:
     E <u> <v>
 
 A batch opens with ``B I|D|Q`` and is closed by the next ``B`` line or the
-end of file. Every edge or query line is ``E u v``. Scripts round-trip
-byte-exactly through parse and serialize.
+end of file. Every edge or query line is ``E u v``. Fields are separated by
+single spaces and integers are canonical decimal, so scripts round-trip
+byte-exactly through parse and serialize (a missing final newline is the
+one other spelling accepted).
 """
 
 from __future__ import annotations
@@ -45,14 +47,18 @@ class WorkloadScript:
         return sum(len(pairs) for _, pairs in self.batches)
 
 
-_HEADER = re.compile(r"^# n=(\d+) seed=(-?\d+)$")
+_INT = "(0|-?[1-9][0-9]*)"
+_HEADER = re.compile(f"# n={_INT} seed={_INT}")
+_LINE = re.compile(f"B ([IDQ])|E {_INT} {_INT}")
 
 
 def parse_script(text: str) -> WorkloadScript:
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()         # the final newline
     if not lines:
         raise ScriptError("empty script: missing header")
-    m = _HEADER.match(lines[0])
+    m = _HEADER.fullmatch(lines[0])
     if not m:
         raise ScriptError(f"bad header line: {lines[0]!r}")
     script = WorkloadScript(n=int(m.group(1)), seed=int(m.group(2)))
@@ -60,26 +66,16 @@ def parse_script(text: str) -> WorkloadScript:
         raise ScriptError(f"header needs at least one vertex, got n={script.n}")
     current = None
     for no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            raise ScriptError(f"line {no}: blank lines are not allowed")
-        parts = line.split()
-        if parts[0] == "B":
-            if len(parts) != 2 or parts[1] not in ("I", "D", "Q"):
-                raise ScriptError(f"line {no}: bad batch line {line!r}")
-            current = (parts[1], [])
+        m = _LINE.fullmatch(line)
+        if not m:
+            raise ScriptError(f"line {no}: not 'B I|D|Q' or 'E <u> <v>': {line!r}")
+        if m.group(1):
+            current = (m.group(1), [])
             script.batches.append(current)
-        elif parts[0] == "E":
-            if current is None:
-                raise ScriptError(f"line {no}: edge before any batch")
-            if len(parts) != 3:
-                raise ScriptError(f"line {no}: bad edge line {line!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ScriptError(f"line {no}: non-integer endpoint in {line!r}")
-            current[1].append((u, v))
+        elif current is None:
+            raise ScriptError(f"line {no}: edge before any batch")
         else:
-            raise ScriptError(f"line {no}: unknown directive {parts[0]!r}")
+            current[1].append((int(m.group(2)), int(m.group(3))))
     return script
 
 
@@ -99,6 +95,8 @@ def generate(
     a live pool becomes an insert instead, which requires a nonzero insert
     ratio.
     """
+    if not all(map(math.isfinite, (avg_batch_size, *mix))):
+        raise ScriptError(f"avg-batch-size {avg_batch_size} and mix {mix} must be finite")
     if n < 2 or num_batches < 1 or avg_batch_size < 1:
         raise ScriptError("n, num-batches, and avg-batch-size must be positive")
     p_ins, p_del, p_query = mix

@@ -73,6 +73,16 @@ def test_input_error_exit_code(tmp_path, capsys):
         "generate", "--n", "8", "--batches", "3", "--avg-batch-size", "2",
         "--mix", "0,1,0",
     ]) == 2
+    # a spelling that serialize does not write
+    bad.write_text("# n=4 seed=0\nB I\nE 01 2\n")
+    assert main(["run", str(bad)]) == 2
+    assert "E 01 2" in capsys.readouterr().err
+    # non-finite sizes and ratios
+    out = tmp_path / "w.txt"
+    for argv in (["--avg-batch-size", "nan"], ["--avg-batch-size", "inf"],
+                 ["--avg-batch-size", "2", "--mix", "nan,0,1"]):
+        assert main(["generate", "--n", "8", "--batches", "5", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_verification_failure_exit_code(tmp_path, monkeypatch):

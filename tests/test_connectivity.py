@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from batchconn.adjstore import AdjacencyStore
 from batchconn.connectivity import LevelStructure
 from batchconn.errors import (
     DuplicateEdgeError,
@@ -12,6 +13,7 @@ from batchconn.errors import (
     MissingEdgeError,
     SelfLoopError,
 )
+from batchconn.etforest import EulerTourForest
 from batchconn.oracle import OracleGraph
 from batchconn.workload import generate
 
@@ -210,6 +212,80 @@ def test_bool_and_malformed_items_rejected_like_oracle(kind, bad, err):
             assert info.type is err, (call, batch)
         assert (s.live_edges(), s.audit().failures) == before
         assert s.live_edges() == sorted(g.edges)
+
+
+class Index:
+    """An integer that is not an ``int``, as numpy integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_index_integers_accepted_like_oracle():
+    s, g = LevelStructure(8), OracleGraph(8)
+    assert drive(s, g, "I", [(Index(0), Index(1)), (1, Index(2)), (Index(5), 6)])
+    assert drive(s, g, "D", [(Index(2), Index(1))])
+    assert s.live_edges() == sorted(g.edges) == [(0, 1), (5, 6)]
+    assert all(type(x) is int for key in s.live_edges() + sorted(g.edges) for x in key)
+    queries = [(Index(0), Index(1)), (Index(0), 5), (Index(3), Index(3)), (6, Index(5))]
+    assert s.batch_connected(queries) == g.connected_many(queries) == [True, False, True, True]
+    assert g.connected(Index(5), Index(6))
+    for bad in (1.0, "1"):
+        for call in (s.batch_insert, s.batch_delete, s.batch_connected,
+                     g.connected_many, lambda pairs: g.apply("I", pairs)):
+            with pytest.raises(InvalidVertexError):
+                call([(0, bad)])
+    assert s.live_edges() == sorted(g.edges) == [(0, 1), (5, 6)]
+    assert s.audit().ok
+
+
+@pytest.mark.parametrize("strategy", ["simple", "interleaved"])
+def test_only_level_forests_file_edges(monkeypatch, strategy):
+    """Arrays and charges change only inside a forest's insert_level_edges
+    and remove_level_edges, which keep an edge's two copies in step."""
+    depth = [0]
+    calls = {}
+
+    def filing(fn):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    def guarded(fn):
+        def wrapped(*args, **kwargs):
+            assert depth[0], f"{fn.__name__} called outside a level forest's filing"
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner, name, wrap in (
+        (EulerTourForest, "insert_level_edges", filing),
+        (EulerTourForest, "remove_level_edges", filing),
+        (EulerTourForest, "adjust_edge_counts", guarded),
+        (AdjacencyStore, "insert_edges", guarded),
+        (AdjacencyStore, "delete_edges", guarded),
+    ):
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    script = generate(96, 150, 4, mix=(0.5, 0.35, 0.15), seed=5)
+    s = LevelStructure(96, seed=5, strategy=strategy)
+    for kind, pairs in script.batches:
+        if kind == "I":
+            s.batch_insert(pairs)
+        elif kind == "D":
+            s.batch_delete(pairs)
+        else:
+            s.batch_connected(pairs)
+    assert set(calls) == {"adjust_edge_counts", "insert_edges", "delete_edges"}
+    assert s.counters.pushes > 0
+    report = s.audit()
+    assert report.ok, report.failures[:4]
 
 
 @pytest.mark.parametrize("strategy", ["simple", "interleaved"])

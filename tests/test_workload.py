@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+NAN, INF = float("nan"), float("inf")
+
 from batchconn.oracle import OracleGraph
 from batchconn.workload import ScriptError, WorkloadScript, generate, parse_script
 
@@ -45,6 +47,22 @@ def test_parse_errors():
         parse_script("# n=4 seed=0\nX\n")
     with pytest.raises(ScriptError):
         parse_script("# n=0 seed=0\n")
+    # spellings that serialize does not write: every script that parses must
+    # serialize back to the same bytes
+    for text in [
+        "# n=8 seed=-0\n",
+        "# n=08 seed=007\n",
+        "# n=\u0668 seed=1\n",
+        "# n=8 seed=0\r\n",
+        "# n=8 seed=0\nB I\nE 00 1\n",
+        "# n=8 seed=0\nB I\nE +1 2\n",
+        "# n=8 seed=0\nB I\nE 1_0 2\n",
+        "# n=8 seed=0\nB I\nE  1 2\n",
+        "# n=8 seed=0\nB I\nE 1 2 \n",
+        "# n=8 seed=0\nB  I\n",
+    ]:
+        with pytest.raises(ScriptError):
+            parse_script(text)
 
 
 def test_generate_single_insert_batch():
@@ -70,6 +88,10 @@ def test_generate_bad_params():
         generate(8, 0, 4, mix=(1.0, 0.0, 0.0), seed=1)
     with pytest.raises(ScriptError):
         generate(8, 5, 4, mix=(0.5, 0.2, 0.2), seed=1)
+    # NaN passes every comparison check, and inf overflows the size band
+    for size, mix in [(NAN, (0.5, 0.3, 0.2)), (INF, (0.5, 0.3, 0.2)), (2, (NAN, 0.0, 1.0))]:
+        with pytest.raises(ScriptError):
+            generate(8, 5, size, mix=mix, seed=1)
 
 
 def test_generated_scripts_replay_cleanly_and_hit_delta():
