@@ -1,10 +1,7 @@
 """Batch-dynamic graph connectivity over a level structure of Euler tour forests."""
 
-from .adjstore import AdjacencyStore
-from .connectivity import AuditReport, EdgeRecord, LevelStructure, WorkCounters
+from .connectivity import LevelStructure
 from .errors import (
-    BatchConflictError,
-    CycleError,
     DuplicateEdgeError,
     GraphError,
     InvalidVertexError,
@@ -12,20 +9,11 @@ from .errors import (
     MissingEdgeError,
     SelfLoopError,
 )
-from .etforest import EulerTourForest
 from .oracle import OracleGraph
-from .primitives import BatchDictionary, semisort, spanning_forest
 from .workload import ScriptError, WorkloadScript, generate, parse_script
 
 __all__ = [
-    "AdjacencyStore",
-    "AuditReport",
-    "BatchConflictError",
-    "BatchDictionary",
-    "CycleError",
     "DuplicateEdgeError",
-    "EdgeRecord",
-    "EulerTourForest",
     "GraphError",
     "InvalidVertexError",
     "LevelStructure",
@@ -34,12 +22,9 @@ __all__ = [
     "OracleGraph",
     "ScriptError",
     "SelfLoopError",
-    "WorkCounters",
     "WorkloadScript",
     "generate",
     "parse_script",
-    "semisort",
-    "spanning_forest",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ and in the charges of F_i. Edges enter and leave both only through F_i's
 ``insert_level_edges`` and ``remove_level_edges``, which keeps the two copies
 in step.
 
-Batches are validated up front and applied atomically. Deleting tree edges
+Batches are validated up front and applied atomically; after an error escapes
+a validated batch, every call raises RuntimeError. Deleting tree edges
 triggers a bottom-up replacement search over the affected levels, using one
 of two strategies: ``simple`` restarts a doubling scan per round; it moves
 examined edges down a level and links each round's replacements into
@@ -35,19 +36,16 @@ counters record every level decrease for amortization checks.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 
 from .adjstore import AdjacencyStore
 from .errors import (
     DuplicateEdgeError,
-    GraphError,
-    InvalidVertexError,
     MissingEdgeError,
     SelfLoopError,
 )
-from .etforest import EulerTourForest, as_pair, check_vertex
+from .etforest import EulerTourForest, as_pair, check_size, check_vertex
 from .primitives import BatchDictionary, DisjointSets, semisort, spanning_forest
 
 TREE = "tree"
@@ -206,8 +204,7 @@ class LevelStructure:
     """The batch-dynamic connectivity structure."""
 
     def __init__(self, n: int, seed: int = 0, strategy: str = "simple"):
-        if n < 1:
-            raise InvalidVertexError(f"need at least one vertex, got n={n}")
+        n = check_size(n)
         if strategy not in ("simple", "interleaved"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.n = n
@@ -220,13 +217,31 @@ class LevelStructure:
         }
         self.edges = BatchDictionary()
         self.counters = WorkCounters(n, self.levels)
-        self._batch = None
+        self._batch = None       # the deletion batch being applied, if any
+        self._broken = None      # the error that escaped a batch midway, if any
 
     # ------------------------------------------------------------------
     # validation helpers
     # ------------------------------------------------------------------
 
+    def _check_usable(self):
+        if self._broken is not None:
+            raise RuntimeError(f"unusable after an error mid-batch: {self._broken!r}")
+
+    @contextmanager
+    def _applying(self, batch=None):
+        """Apply a validated batch; an error escaping it marks the structure broken."""
+        self._batch = batch
+        try:
+            yield
+        except BaseException as exc:
+            self._broken = exc
+            raise
+        finally:
+            self._batch = None
+
     def _canon_batch(self, pairs, expect_present):
+        self._check_usable()
         out = []
         seen = set()
         for item in pairs:
@@ -250,6 +265,7 @@ class LevelStructure:
     # ------------------------------------------------------------------
 
     def batch_connected(self, queries):
+        self._check_usable()
         answers = self.forests[self.levels].batch_connected(queries)
         self.counters.query_batches += 1
         self.counters.queries += len(answers)
@@ -261,24 +277,24 @@ class LevelStructure:
 
     def batch_insert(self, pairs):
         edges = self._canon_batch(pairs, expect_present=False)
-        self.counters.insert_batches += 1
-        if not edges:
-            return
-        top = self.levels
-        fl = self.forests[top]
-        self.counters.edges_inserted += len(edges)
-        records = [EdgeRecord(u, v, top, NONTREE) for u, v in edges]
-        # the new tree edges are a spanning forest of the edges that join
-        # different trees of F_L, as a level search selects its replacements
-        repl = self._replacements(top, records)
-        for j in spanning_forest([(ru, rv) for _, ru, rv in repl]):
-            repl[j][0].status = TREE
-        self.edges.apply([("insert", rec.key, rec) for rec in records])
-        # F_L files each status group; every array gets its edges in batch order
-        keyed = semisort([(rec.status, rec) for rec in records])
-        for status, run in groupby(keyed, key=itemgetter(0)):
-            fl.insert_level_edges([rec for _, rec in run], status)
-        fl.batch_link([rec.key for rec in records if rec.status == TREE])
+        with self._applying():
+            self.counters.insert_batches += 1
+            if not edges:
+                return
+            top = self.levels
+            fl = self.forests[top]
+            self.counters.edges_inserted += len(edges)
+            records = [EdgeRecord(u, v, top, NONTREE) for u, v in edges]
+            # the new tree edges are a spanning forest of the edges that join
+            # different trees of F_L, as a level search selects its replacements
+            repl = self._replacements(top, records)
+            for j in spanning_forest([(ru, rv) for _, ru, rv in repl]):
+                repl[j][0].status = TREE
+            self.edges.apply([("insert", rec.key, rec) for rec in records])
+            # F_L files each status group; every array gets its edges in batch order
+            for status, run in semisort([(rec.status, rec) for rec in records]).items():
+                fl.insert_level_edges(run, status)
+            fl.batch_link([rec.key for rec in records if rec.status == TREE])
 
     # ------------------------------------------------------------------
     # deletion
@@ -286,15 +302,13 @@ class LevelStructure:
 
     def batch_delete(self, pairs):
         keys = self._canon_batch(pairs, expect_present=True)
-        records = [self.edges.get(k) for k in keys]
-        b = self.counters.deletion_batches
-        self.counters.deletion_batches += 1
-        self.counters.edges_deleted += len(keys)
-        self.counters.deletion_batch_sizes.append(len(keys))
-        if not keys:
-            return
-        self._batch = b
-        try:
+        with self._applying(self.counters.deletion_batches):
+            records = [self.edges.get(k) for k in keys]
+            self.counters.deletion_batches += 1
+            self.counters.edges_deleted += len(keys)
+            self.counters.deletion_batch_sizes.append(len(keys))
+            if not keys:
+                return
             self.edges.apply([("delete", k) for k in keys])
             # drop adjacency entries and charges at each edge's own level;
             # grouping keeps every array's deletions in batch order
@@ -322,8 +336,6 @@ class LevelStructure:
             carried = []
             for i in range(min(buckets), self.levels + 1):
                 carried = search(i, carried + buckets.get(i, []))
-        finally:
-            self._batch = None
 
     # ------------------------------------------------------------------
     # shared search plumbing
@@ -433,14 +445,10 @@ class LevelStructure:
             w_eff = min(w, w_max)
             window = fi.fetch_level_edges(c, w_eff, NONTREE)
             repl = self._replacements(i, window)
-            if repl:
-                repl_keys = {rec.key for rec, _, _ in repl}
-                rest = [rec for rec in window if rec.key not in repl_keys]
-                self._push_edges(i, rest, NONTREE)
-                return [repl[0]]
-            self._push_edges(i, window, NONTREE)
-            if w_eff >= w_max:
-                return []
+            keys = {rec.key for rec, _, _ in repl}
+            self._push_edges(i, [rec for rec in window if rec.key not in keys], NONTREE)
+            if repl or w_eff >= w_max:
+                return repl[:1]
             w <<= 1
 
     def parallel_level_search(self, i, components):
@@ -521,16 +529,9 @@ class LevelStructure:
         supers = _SuperMap(sizes)
         selected = []            # T, in selection order
         r = 0
-        moved = {}               # piece -> size of the window it moved last round
         while active:
             w = 1 << r
             self.counters.record_round(i, self._batch)
-            if r >= 1:
-                need = 1 << (r - 1)
-                for h in active:
-                    self.counters.doubling_checks += 1
-                    if moved[h] < need:
-                        self.counters.doubling_violations += 1
             windows = {}
             w_maxes = {}
             for h in active:
@@ -564,19 +565,26 @@ class LevelStructure:
             # the one decision per piece: move (window and supercomponent
             # tree edges, all in one push) or done
             moving = {}
-            moved = {}
+            moved = []
             for h in active:
                 root = supers.find(h)
                 if supers.size(root) <= half and w < w_maxes[h]:
                     for rec in windows[h] + supers.take_tree_edges(root):
                         moving[rec.key] = rec
-                    moved[h] = len(windows[h])
+                    moved.append(h)
                 else:
                     done.append(h)
             self._push_edges(i, list(moving.values()), NONTREE)
             active = []
             for h in moved:
-                (active if fi.num_nontree_edges(h) else done).append(h)
+                if not fi.num_nontree_edges(h):
+                    done.append(h)
+                    continue
+                # doubling: a piece kept active moved a full window of w edges
+                self.counters.doubling_checks += 1
+                if len(windows[h]) < w:
+                    self.counters.doubling_violations += 1
+                active.append(h)
             r += 1
         # level end: T joins F_i .. F_L; its unmoved part is refiled as tree edges
         self._adopt(i, selected)

@@ -42,17 +42,30 @@ _VERTS = 2
 _KIND_INDEX = {"nontree": _NONTREE, "tree": _TREE}
 
 
+def _index(x):
+    """``x`` as a plain int if it is an ``operator.index`` integer but no bool."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
 def check_vertex(v, n):
-    """``v`` as a plain int in [0, n): any ``operator.index`` integer but a
-    ``bool``; anything else is an InvalidVertexError."""
-    x = v
-    if type(v) is not int:
-        try:
-            x = None if isinstance(v, bool) else operator.index(v)
-        except TypeError:
-            x = None
+    """``v`` as a plain int in [0, n); anything else is an InvalidVertexError."""
+    x = v if type(v) is int else _index(v)
     if x is None or not 0 <= x < n:
         raise InvalidVertexError(f"vertex {v!r} is not an int in [0, {n})")
+    return x
+
+
+def check_size(n):
+    """A vertex count ``n`` as a plain int of at least 1, integers taken as by
+    ``check_vertex``; anything else is an InvalidVertexError."""
+    x = _index(n)
+    if x is None or x < 1:
+        raise InvalidVertexError(f"need at least one vertex, got n={n!r}")
     return x
 
 
@@ -192,9 +205,7 @@ def _descend(root, seen):
 
 class EulerTourForest:
     def __init__(self, n, level=1, adj=None, seed=0):
-        if n < 1:
-            raise InvalidVertexError(f"need at least one vertex, got n={n}")
-        self.n = n
+        self.n = n = check_size(n)
         self.level = level
         self._adj = adj
         self._rng = random.Random((seed * 0x9E3779B1 + level * 0x85EBCA77) & 0x7FFFFFFFFFFF)
@@ -243,11 +254,9 @@ class EulerTourForest:
         """Add forest edges; the batch must keep the forest acyclic."""
         if not edges:
             return
-        # validate jointly before mutating anything
+        # validate jointly before mutating anything; find_repr checks each vertex
         reprs = {}
         for u, v in edges:
-            check_vertex(u, self.n)
-            check_vertex(v, self.n)
             for x in (u, v):
                 if x not in reprs:
                     reprs[x] = self.find_repr(x)

@@ -20,9 +20,9 @@ from .errors import (
 
 class OracleGraph:
     def __init__(self, n: int):
-        if n < 1:
-            raise InvalidVertexError(f"need at least one vertex, got n={n}")
-        self.n = n
+        if isinstance(n, bool) or not hasattr(type(n), "__index__") or operator.index(n) < 1:
+            raise InvalidVertexError(f"need at least one vertex, got n={n!r}")
+        self.n = operator.index(n)
         self.edges = set()
 
     def _check_vertex(self, v):

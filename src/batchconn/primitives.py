@@ -11,30 +11,24 @@ from .errors import BatchConflictError, DuplicateEdgeError, MissingEdgeError
 
 
 def semisort(items):
-    """Group key-equal items into contiguous runs.
+    """Group ``(key, payload)`` pairs by key.
 
-    ``items`` is a sequence of ``(key, payload)`` pairs. The output is a
-    permutation of the input in which all pairs sharing a key are adjacent.
-    Runs appear in first-occurrence order of their key, so the result is
-    reproducible without any randomness. No order is promised between
-    distinct keys.
+    Returns a dict from each key to its payloads in input order, with keys in
+    first-occurrence order, so the result is reproducible without any
+    randomness.
     """
     groups: dict = {}
     for key, payload in items:
         groups.setdefault(key, []).append(payload)
-    out = []
-    for key, payloads in groups.items():
-        for p in payloads:
-            out.append((key, p))
-    return out
+    return groups
 
 
 class BatchDictionary:
-    """Dictionary applying homogeneous batches of inserts, deletes, lookups.
+    """Dictionary applying batches of inserts and deletes.
 
-    Within one batch at most one mutation per key is allowed. Lookups answer
-    against the state before the current batch's mutations. The whole batch is
-    validated up front and rejected atomically on any error.
+    Within one batch at most one mutation per key is allowed. The whole batch
+    is validated up front and rejected atomically on any error. Single keys
+    are read with ``get`` and ``in``.
     """
 
     def __init__(self):
@@ -56,48 +50,33 @@ class BatchDictionary:
         return self._data.keys()
 
     def apply(self, ops):
-        """Apply one batch of ``("insert", k, v) | ("delete", k) | ("lookup", k)``.
-
-        Returns the lookup results in order, one ``(present, value)`` pair per
-        lookup op.
-        """
+        """Apply one batch of ``("insert", k, v)`` and ``("delete", k)`` ops."""
         mutated = set()
         inserts = []
         deletes = []
-        lookups = []
         for op in ops:
             tag = op[0]
             if tag == "insert":
                 _, key, value = op
-                if key in mutated:
-                    raise BatchConflictError(f"two mutations for key {key!r} in one batch")
-                mutated.add(key)
+            elif tag == "delete":
+                _, key = op
+            else:
+                raise ValueError(f"unknown dictionary op {tag!r}")
+            if key in mutated:
+                raise BatchConflictError(f"two mutations for key {key!r} in one batch")
+            mutated.add(key)
+            if tag == "insert":
                 if key in self._data:
                     raise DuplicateEdgeError(f"insert of present key {key!r}")
                 inserts.append((key, value))
-            elif tag == "delete":
-                _, key = op
-                if key in mutated:
-                    raise BatchConflictError(f"two mutations for key {key!r} in one batch")
-                mutated.add(key)
+            else:
                 if key not in self._data:
                     raise MissingEdgeError(f"delete of absent key {key!r}")
                 deletes.append(key)
-            elif tag == "lookup":
-                lookups.append(op[1])
-            else:
-                raise ValueError(f"unknown dictionary op {tag!r}")
-        results = []
-        for key in lookups:
-            if key in self._data:
-                results.append((True, self._data[key]))
-            else:
-                results.append((False, None))
         for key in deletes:
             del self._data[key]
         for key, value in inserts:
             self._data[key] = value
-        return results
 
 
 class DisjointSets:

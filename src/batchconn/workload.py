@@ -89,11 +89,13 @@ def generate(
     """Generate a replayable script with a controlled deletion batch size.
 
     ``mix`` is the (insert, delete, query) batch-type ratio. Deletions only
-    target live edges (a shadow edge set is tracked). Every deletion batch is
-    drawn whole from a band within 10% of the requested size, so the realized
-    average stays within 10% by construction; a delete draw finding too small
-    a live pool becomes an insert instead, which requires a nonzero insert
-    ratio.
+    target live edges (a shadow edge set is tracked). Every batch size is
+    drawn from the integers within 10% of the requested size, so the realized
+    deletion average stays within 10% by construction. A size with no integer
+    in that band is a ScriptError if the delete ratio is nonzero; otherwise
+    every batch size is ``max(1, ceil(0.9 * avg_batch_size))``. A delete
+    draw finding too small a live pool becomes an insert instead, which
+    requires a nonzero insert ratio.
     """
     if not all(map(math.isfinite, (avg_batch_size, *mix))):
         raise ScriptError(f"avg-batch-size {avg_batch_size} and mix {mix} must be finite")
@@ -102,17 +104,16 @@ def generate(
     p_ins, p_del, p_query = mix
     if min(mix) < 0 or abs(p_ins + p_del + p_query - 1.0) > 1e-9:
         raise ScriptError(f"mix ratios {mix} must be nonnegative and sum to 1")
+    # band kept strictly inside +-10% even after rounding
+    lo = max(1, math.ceil(avg_batch_size * 0.9))
+    hi = math.floor(avg_batch_size * 1.1)
+    if p_del > 0 and lo > hi:
+        raise ScriptError(f"no integer deletion batch size lies within 10% of {avg_batch_size}")
+    hi = max(lo, hi)
     rng = random.Random(seed)
     script = WorkloadScript(n=n, seed=seed)
     live = []
     live_set = set()
-    realized = [0, 0]      # deletion batches emitted, edges deleted
-
-    def draw_size():
-        # band kept strictly inside +-10% even after rounding
-        lo = max(1, math.ceil(avg_batch_size * 0.9))
-        hi = max(lo, math.floor(avg_batch_size * 1.1))
-        return rng.randint(lo, hi)
 
     def insert_batch(size):
         batch = []
@@ -138,7 +139,7 @@ def generate(
             kind = "D"
         else:
             kind = "Q"
-        size = draw_size()
+        size = rng.randint(lo, hi)
         if kind == "D" and len(live) < size:
             if p_ins <= 0:
                 raise ScriptError("deletion requested with no insertions possible")
@@ -159,13 +160,4 @@ def generate(
                 live_set.remove(key)
                 batch.append(key)
             script.batches.append(("D", batch))
-            realized[0] += 1
-            realized[1] += size
-    if realized[0]:
-        mean = realized[1] / realized[0]
-        if abs(mean - avg_batch_size) > 0.1 * avg_batch_size + 1e-9:
-            raise ScriptError(
-                f"realized deletion batch mean {mean:.2f} misses requested "
-                f"{avg_batch_size} by more than 10%"
-            )
     return script

@@ -83,6 +83,11 @@ def test_input_error_exit_code(tmp_path, capsys):
                  ["--avg-batch-size", "2", "--mix", "nan,0,1"]):
         assert main(["generate", "--n", "8", "--batches", "5", *argv, "--out", str(out)]) == 2
         assert not out.exists()
+    # no integer deletion batch size within 10% of 1.5
+    argv = ["generate", "--n", "16", "--batches", "6", "--avg-batch-size", "1.5", "--seed", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "1.5" in capsys.readouterr().err
 
 
 def test_verification_failure_exit_code(tmp_path, monkeypatch):

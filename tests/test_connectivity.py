@@ -61,6 +61,17 @@ def test_bad_strategy_rejected():
         LevelStructure(4, strategy="eager")
 
 
+def test_package_root_exports_the_user_api():
+    import batchconn
+
+    assert batchconn.__all__ == [
+        "DuplicateEdgeError", "GraphError", "InvalidVertexError", "LevelStructure",
+        "MalformedEdgeError", "MissingEdgeError", "OracleGraph", "ScriptError",
+        "SelfLoopError", "WorkloadScript", "generate", "parse_script",
+    ]
+    assert all(hasattr(batchconn, name) for name in batchconn.__all__)
+
+
 # ----------------------------------------------------------------------
 # queries and insertion
 # ----------------------------------------------------------------------
@@ -240,6 +251,52 @@ def test_index_integers_accepted_like_oracle():
                 call([(0, bad)])
     assert s.live_edges() == sorted(g.edges) == [(0, 1), (5, 6)]
     assert s.audit().ok
+
+
+@pytest.mark.parametrize("cls", [LevelStructure, EulerTourForest, OracleGraph])
+@pytest.mark.parametrize("n", [2.0, "3", True, None, 0])
+def test_vertex_count_must_be_a_positive_integer(cls, n):
+    with pytest.raises(InvalidVertexError):
+        cls(n)
+
+
+def test_index_vertex_count_builds_like_the_int():
+    for cls in (LevelStructure, EulerTourForest, OracleGraph):
+        assert type(cls(Index(8)).n) is int and cls(Index(8)).n == 8
+    assert LevelStructure(Index(8)).levels == LevelStructure(8).levels == 3
+    assert LevelStructure(Index(1000)).levels == 10
+
+
+def test_internal_error_mid_batch_refuses_further_use(monkeypatch):
+    s = LevelStructure(8)
+    s.batch_insert([(0, 1), (1, 2), (2, 3)])
+    cut = EulerTourForest.batch_cut
+    calls = []
+
+    def failing_cut(self, edges):
+        calls.append(edges)
+        if len(calls) == 1:
+            raise AssertionError("injected")
+        return cut(self, edges)
+
+    monkeypatch.setattr(EulerTourForest, "batch_cut", failing_cut)
+    with pytest.raises(AssertionError, match="injected"):
+        s.batch_delete([(1, 2)])
+    for call, batch in ((s.batch_insert, [(4, 5)]), (s.batch_delete, [(0, 1)]),
+                        (s.batch_connected, [(0, 1)])):
+        with pytest.raises(RuntimeError, match="AssertionError") as info:
+            call(batch)
+        assert not isinstance(info.value, GraphError)
+    assert len(calls) == 1
+    assert isinstance(s.audit().ok, bool)
+    # a rejected batch is not an internal error: the structure stays usable
+    fresh = LevelStructure(8)
+    with pytest.raises(MissingEdgeError):
+        fresh.batch_delete([(0, 1)])
+    fresh.batch_insert([(0, 1)])
+    fresh.batch_delete([(0, 1)])
+    assert fresh.batch_connected([(0, 1)]) == [False]
+    assert len(calls) == 2 and fresh.audit().ok
 
 
 @pytest.mark.parametrize("strategy", ["simple", "interleaved"])

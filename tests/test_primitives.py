@@ -16,48 +16,38 @@ from batchconn.primitives import BatchDictionary, DisjointSets, semisort, spanni
 # semisort
 # ----------------------------------------------------------------------
 
-def runs_are_contiguous(items):
-    """Each key must appear in exactly one contiguous run."""
-    closed = set()
-    prev = object()
+def reference_runs(items):
+    """Each key with its payloads in input order, keys in first-occurrence order."""
+    keys = []
     for key, _ in items:
-        if key != prev:
-            if key in closed:
-                return False
-            if prev is not object():
-                closed.add(prev)
-            prev = key
-    return True
+        if key not in keys:
+            keys.append(key)
+    return [(key, [p for k, p in items if k == key]) for key in keys]
 
 
 def test_semisort_empty():
-    assert semisort([]) == []
+    assert semisort([]) == {}
 
 
 def test_semisort_groups_small():
-    out = semisort([("a", 1), ("b", 2), ("a", 3)])
-    assert sorted(out) == [("a", 1), ("a", 3), ("b", 2)]
-    assert runs_are_contiguous(out)
+    out = semisort([("b", 1), ("a", 2), ("b", 3)])
+    assert list(out.items()) == [("b", [1, 3]), ("a", [2])]
 
 
 def test_semisort_large_random():
     rng = random.Random(7)
     items = [(rng.randrange(200), i) for i in range(10_000)]
-    out = semisort(items)
-    assert sorted(out) == sorted(items)
-    assert runs_are_contiguous(out)
+    assert list(semisort(items).items()) == reference_runs(items)
 
 
 @given(st.lists(st.tuples(st.integers(0, 20), st.integers())))
 def test_semisort_properties(items):
-    out = semisort(items)
-    assert sorted(out) == sorted(items)
-    assert runs_are_contiguous(out)
+    assert list(semisort(items).items()) == reference_runs(items)
 
 
 def test_semisort_deterministic():
     items = [(i % 13, i) for i in range(500)]
-    assert semisort(list(items)) == semisort(list(items))
+    assert list(semisort(list(items)).items()) == list(semisort(list(items)).items())
 
 
 # ----------------------------------------------------------------------
@@ -99,20 +89,25 @@ def test_disjoint_sets_union_of_joined_keys_is_none():
 
 def test_dictionary_insert_then_lookup():
     d = BatchDictionary()
-    d.apply([("insert", "e1", "v1")])
-    assert d.apply([("lookup", "e1")]) == [(True, "v1")]
+    assert d.apply([("insert", "e1", "v1")]) is None
+    assert d.get("e1") == "v1"
+    assert "e1" in d and len(d) == 1
 
 
 def test_dictionary_lookup_absent():
     d = BatchDictionary()
-    assert d.apply([("lookup", "nope")]) == [(False, None)]
+    assert d.get("nope") is None
+    assert d.get("nope", 7) == 7
+    assert "nope" not in d
 
 
-def test_dictionary_lookup_sees_pre_batch_state():
+def test_dictionary_lookup_op_is_unknown():
     d = BatchDictionary()
-    out = d.apply([("insert", "k", 1), ("lookup", "k")])
-    assert out == [(False, None)]
-    assert d.apply([("lookup", "k")]) == [(True, 1)]
+    d.apply([("insert", "k", 1)])
+    with pytest.raises(ValueError, match="unknown dictionary op 'lookup'"):
+        d.apply([("delete", "k"), ("lookup", "k")])
+    # atomic: the delete before it did not happen
+    assert d.get("k") == 1
 
 
 def test_dictionary_conflicting_mutations_rejected():
@@ -121,7 +116,7 @@ def test_dictionary_conflicting_mutations_rejected():
     with pytest.raises(BatchConflictError):
         d.apply([("delete", "k"), ("insert", "k", 2)])
     # atomic: nothing changed
-    assert d.apply([("lookup", "k")]) == [(True, 1)]
+    assert list(d.items()) == [("k", 1)]
 
 
 def test_dictionary_strict_errors():
@@ -149,19 +144,16 @@ def test_dictionary_random_script_vs_sequential_map():
             elif op < 0.6 and key in shadow and key not in mutated:
                 batch.append(("delete", key))
                 mutated.add(key)
-            else:
-                batch.append(("lookup", key))
-        expected = []
-        for op in batch:
-            if op[0] == "lookup":
-                key = op[1]
-                expected.append((key in shadow, shadow.get(key)))
-        assert d.apply(batch) == expected
+        d.apply(batch)
         for op in batch:
             if op[0] == "insert":
                 shadow[op[1]] = op[2]
-            elif op[0] == "delete":
+            else:
                 del shadow[op[1]]
+        assert dict(d.items()) == shadow
+        assert sorted(d.keys()) == sorted(shadow) and len(d) == len(shadow)
+        key = rng.randrange(40)
+        assert (key in d, d.get(key)) == (key in shadow, shadow.get(key))
 
 
 # ----------------------------------------------------------------------

@@ -94,6 +94,16 @@ def test_generate_bad_params():
             generate(8, 5, size, mix=mix, seed=1)
 
 
+def test_generate_rejects_a_size_with_no_integer_within_ten_percent():
+    # 1.5: the band [ceil(1.35), floor(1.65)] is empty; whether a seed drew a
+    # deletion batch used to decide between a script and an error
+    for seed in (0, 2):
+        with pytest.raises(ScriptError, match="within 10% of 1.5"):
+            generate(16, 6, 1.5, mix=(0.5, 0.3, 0.2), seed=seed)
+    # with no deletions the size only shapes insert and query batches
+    assert generate(16, 6, 1.5, mix=(0.5, 0.0, 0.5), seed=2).batches
+
+
 def test_generated_scripts_replay_cleanly_and_hit_delta():
     for seed in range(5):
         target = [1, 4, 16][seed % 3]
