@@ -7,11 +7,13 @@ tour is a sequence kept as a treap ordered by tour position (Seidel and
 Aragon, "Randomized Search Trees"), with parent pointers so that any node can
 reach its tree's root and split the sequence at itself.
 
-Every node carries its own charges and its subtree's sums, each a triple
-(non-tree edge charges, tree edge charges, vertex count). Charges live on
-vertex loops only; arcs carry zeros. The root's sums are the tour's totals,
-which give component size, per-kind edge counts, and the guide for
-count-guided prefix fetches.
+Every node keeps its counts in plain slots, so that a node is a single
+object: its own charges ``own_nontree`` and ``own_tree`` (non-tree and tree
+edge endpoints), and its subtree's sums ``nontree``, ``tree`` and ``size``
+(vertex count). Charges live on vertex loops only; arcs carry zeros. A
+node's own vertex count is 1 for a loop and 0 for an arc, so it needs no
+slot. The root's sums are the tour's totals, which give component size,
+per-kind edge counts, and the guide for count-guided prefix fetches.
 
 A link splits u's tour after u's loop and v's tour before v's loop and joins
 the pieces; a cut takes the two arcs out and joins the outer pieces. Neither
@@ -35,11 +37,9 @@ from .errors import (
 )
 from .primitives import DisjointSets
 
-_NONTREE = 0
-_TREE = 1
-_VERTS = 2
-
-_KIND_INDEX = {"nontree": _NONTREE, "tree": _TREE}
+# edge kind -> the slot holding a loop's own charges of that kind; the
+# subtree sum of a kind is the slot named after the kind itself
+_OWN = {"nontree": "own_nontree", "tree": "own_tree"}
 
 
 def _index(x):
@@ -79,7 +79,10 @@ def as_pair(item):
 
 
 class TourNode:
-    __slots__ = ("uid", "vertex", "arc", "prio", "left", "right", "parent", "own", "sums")
+    __slots__ = (
+        "uid", "vertex", "arc", "prio", "left", "right", "parent",
+        "own_nontree", "own_tree", "nontree", "tree", "size",
+    )
 
     def __init__(self, uid, vertex, arc, prio):
         self.uid = uid
@@ -87,9 +90,14 @@ class TourNode:
         self.arc = arc            # (u, v) for arc nodes, else None
         self.prio = prio          # no child outranks its parent
         self.left = self.right = self.parent = None
-        one = 1 if vertex is not None else 0
-        self.own = [0, 0, one]    # this node's charges
-        self.sums = [0, 0, one]   # its subtree's
+        self.own_nontree = self.own_tree = 0    # this node's charges
+        self.nontree = self.tree = 0            # its subtree's
+        self.size = 1 if arc is None else 0
+
+    @property
+    def own(self):
+        """This node's (non-tree charges, tree charges, vertex count)."""
+        return (self.own_nontree, self.own_tree, 1 if self.arc is None else 0)
 
 
 # ----------------------------------------------------------------------
@@ -98,23 +106,22 @@ class TourNode:
 
 def _pull(x):
     """Recompute x's sums from its own charges and its children's sums."""
-    a, b, c = x.own
+    a = x.own_nontree
+    b = x.own_tree
+    c = 1 if x.arc is None else 0
     child = x.left
     if child is not None:
-        s = child.sums
-        a += s[0]
-        b += s[1]
-        c += s[2]
+        a += child.nontree
+        b += child.tree
+        c += child.size
     child = x.right
     if child is not None:
-        s = child.sums
-        a += s[0]
-        b += s[1]
-        c += s[2]
-    s = x.sums
-    s[0] = a
-    s[1] = b
-    s[2] = c
+        a += child.nontree
+        b += child.tree
+        c += child.size
+    x.nontree = a
+    x.tree = b
+    x.size = c
 
 
 def _root(x):
@@ -232,15 +239,15 @@ class EulerTourForest:
         return [self.find_repr(u) == self.find_repr(v) for u, v in map(as_pair, queries)]
 
     def component_size(self, v) -> int:
-        return self._top(v).sums[_VERTS]
+        return self._top(v).size
 
     def num_nontree_edges(self, v) -> int:
         """Level-matching non-tree edge endpoints charged within v's tree."""
-        return self._top(v).sums[_NONTREE]
+        return self._top(v).nontree
 
     def num_tree_edges(self, v) -> int:
         """Level-matching tree edge endpoints charged within v's tree."""
-        return self._top(v).sums[_TREE]
+        return self._top(v).tree
 
     # ------------------------------------------------------------------
     # links and cuts
@@ -314,17 +321,23 @@ class EulerTourForest:
         pending = {}
         for v, kind, delta in deltas:
             check_vertex(v, self.n)
-            idx = _KIND_INDEX[kind]
-            pending[(v, idx)] = pending.get((v, idx), 0) + delta
-        for (v, idx), delta in pending.items():
-            if self._loops[v].own[idx] + delta < 0:
+            pending[(v, kind)] = pending.get((v, kind), 0) + delta
+        for (v, kind), delta in pending.items():
+            if getattr(self._loops[v], _OWN[kind]) + delta < 0:
                 raise GraphError(f"charge for vertex {v} would go negative")
-        for (v, idx), delta in pending.items():
-            if delta:
-                x = self._loops[v]
-                x.own[idx] += delta
+        for (v, kind), delta in pending.items():
+            if not delta:
+                continue
+            x = self._loops[v]
+            if kind == "nontree":
+                x.own_nontree += delta
                 while x is not None:
-                    x.sums[idx] += delta
+                    x.nontree += delta
+                    x = x.parent
+            else:
+                x.own_tree += delta
+                while x is not None:
+                    x.tree += delta
                     x = x.parent
 
     def fetch_level_edges(self, v, l, kind):
@@ -338,23 +351,25 @@ class EulerTourForest:
         endpoints of an edge lie in the tree the distinct edges can run out
         before ``l`` does; everything available is returned in that case.
         """
-        idx = _KIND_INDEX[kind]
+        own = _OWN[kind]
         root = self._top(v)
-        if l > root.sums[idx]:
-            raise GraphError(f"fetch of {l} exceeds available charge {root.sums[idx]}")
+        available = getattr(root, kind)
+        if l > available:
+            raise GraphError(f"fetch of {l} exceeds available charge {available}")
         out = []
         if l:
-            self._collect(root, idx, kind, l, out, set())
+            self._collect(root, own, kind, l, out, set())
         return out
 
-    def _collect(self, x, idx, kind, need, out, seen):
+    def _collect(self, x, own, kind, need, out, seen):
         """Add up to ``need`` unseen edges of x's subtree, in tour order; return
         how many are still needed. Subtrees without charge are skipped."""
-        if x is None or x.sums[idx] == 0:
+        if x is None or getattr(x, kind) == 0:
             return need
-        need = self._collect(x.left, idx, kind, need, out, seen)
-        if need and x.own[idx]:
-            for e in self._adj.fetch_edges(x.vertex, self.level, kind, x.own[idx]):
+        need = self._collect(x.left, own, kind, need, out, seen)
+        charged = getattr(x, own)
+        if need and charged:
+            for e in self._adj.fetch_edges(x.vertex, self.level, kind, charged):
                 key = (e.u, e.v)
                 if key not in seen:
                     seen.add(key)
@@ -363,7 +378,7 @@ class EulerTourForest:
                     if need == 0:
                         return 0
         if need:
-            need = self._collect(x.right, idx, kind, need, out, seen)
+            need = self._collect(x.right, own, kind, need, out, seen)
         return need
 
     def _runs(self, edges):
@@ -472,9 +487,10 @@ class EulerTourForest:
                 exact = {}
                 for node in reversed(order):
                     kids = [exact[id(c)] for c in (node.left, node.right) if c is not None]
-                    s = exact[id(node)] = [sum(t) for t in zip(node.own, *kids)]
-                    if s != node.sums:
-                        problems.append(f"sums: uid={node.uid} stores {node.sums}, subtree has {s}")
+                    s = exact[id(node)] = tuple(map(sum, zip(node.own, *kids)))
+                    stored = (node.nontree, node.tree, node.size)
+                    if s != stored:
+                        problems.append(f"sums: uid={node.uid} stores {stored}, subtree has {s}")
             # the sequence is an Euler tour of a tree
             loops_seen = set()
             arcs_seen = set()
@@ -486,8 +502,6 @@ class EulerTourForest:
                     if node.vertex in loops_seen:
                         problems.append(f"tour: loop {node.vertex} repeated")
                     loops_seen.add(node.vertex)
-                    if node.own[_VERTS] != 1:
-                        problems.append(f"own: loop {node.vertex} vertex count != 1")
                 else:
                     arc_nodes.append(node)
                     x, y = node.arc
@@ -497,7 +511,7 @@ class EulerTourForest:
                         problems.append(f"tour: arc {node.arc} repeated")
                     arcs_seen.add(node.arc)
                     cur = y
-                    if node.own != [0, 0, 0]:
+                    if node.own_nontree or node.own_tree:
                         problems.append(f"own: arc {node.arc} carries charges")
             if cur != start:
                 problems.append("tour: walk does not return to its start")
@@ -510,12 +524,13 @@ class EulerTourForest:
             if id(loop) not in listed:
                 problems.append(f"tour: loop {loop.vertex} is in no tour")
             if self._adj is not None:
-                for kind, idx in _KIND_INDEX.items():
+                for kind, own in _OWN.items():
                     stored = self._adj.count(loop.vertex, self.level, kind)
-                    if loop.own[idx] != stored:
+                    charged = getattr(loop, own)
+                    if charged != stored:
                         problems.append(
                             f"charges: vertex {loop.vertex} level {self.level} "
-                            f"{kind} {loop.own[idx]} != array {stored}"
+                            f"{kind} {charged} != array {stored}"
                         )
         if len(arc_nodes) != len(self._arcs) or any(self._arcs.get(a.arc) is not a for a in arc_nodes):
             problems.append("tour: registered arcs differ from toured arcs")

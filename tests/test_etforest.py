@@ -2,6 +2,7 @@ import contextlib
 import gc
 import random
 import signal
+import tracemalloc
 
 import pytest
 
@@ -170,10 +171,11 @@ def test_audit_names_broken_treap_links():
     node.prio = prio
     assert_clean(f)
     # a subtree sum that missed an update
-    exact = list(node.sums)
-    node.sums[0] += 1
-    assert f.audit() == [f"sums: uid={node.uid} stores {node.sums}, subtree has {exact}"]
-    node.sums[0] -= 1
+    exact = (node.nontree, node.tree, node.size)
+    node.nontree += 1
+    stored = (node.nontree, node.tree, node.size)
+    assert f.audit() == [f"sums: uid={node.uid} stores {stored}, subtree has {exact}"]
+    node.nontree -= 1
     assert_clean(f)
 
 
@@ -232,7 +234,7 @@ def forest_state(f):
         return None if node is None else node.uid
 
     tours = [
-        [(x.uid, x.prio, uid(x.parent), uid(x.left), uid(x.right), list(x.own), list(x.sums))
+        [(x.uid, x.prio, uid(x.parent), uid(x.left), uid(x.right), x.own, (x.nontree, x.tree, x.size))
          for x in tour]
         for tour in f.tours()
     ]
@@ -298,6 +300,26 @@ def test_cut_arcs_are_freed_by_reference_counting():
         assert live_nodes() - before == 64
     finally:
         gc.enable()
+
+
+def test_tour_nodes_are_single_flat_objects():
+    # the forests hold n * L nodes, so each must stay one small object
+    f = EulerTourForest(4, seed=2)
+    f.batch_link([(0, 1)])
+    for node in (f._loops[2], f._arcs[(0, 1)]):
+        assert not hasattr(node, "__dict__")
+        assert not any(isinstance(ref, list) for ref in gc.get_referents(node))
+        with pytest.raises(AttributeError):
+            node.own = (0, 0, 0)
+    n = 4096
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = EulerTourForest(n)
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert allocated / n < 256
 
 
 def test_random_links_vs_union_find_oracle():
