@@ -226,17 +226,55 @@ class EulerTourForest:
     # ------------------------------------------------------------------
 
     def _top(self, v):
-        return _root(self._loops[check_vertex(v, self.n)])
+        n = self.n
+        x = self._loops[v if type(v) is int and 0 <= v < n else check_vertex(v, n)]
+        while x.parent is not None:
+            x = x.parent
+        return x
 
     def find_repr(self, v):
         """Identity of v's tour: its treap root's uid, stable until a mutation."""
         return self._top(v).uid
 
     def batch_find_repr(self, vertices):
-        return [self._top(v).uid for v in vertices]
+        """``find_repr`` of each vertex, in order; the first bad vertex raises
+        what ``find_repr`` would.
+
+        One loop with the vertex check and the root climb inline: on small
+        trees the calls around a climb cost more than the climb itself.
+        """
+        loops, n = self._loops, self.n
+        out = []
+        for v in vertices:
+            x = loops[v if type(v) is int and 0 <= v < n else check_vertex(v, n)]
+            while x.parent is not None:
+                x = x.parent
+            out.append(x.uid)
+        return out
 
     def batch_connected(self, queries):
-        return [self.find_repr(u) == self.find_repr(v) for u, v in map(as_pair, queries)]
+        """Whether each (u, v) query's endpoints share a tour, in order.
+
+        Items are checked one at a time as by ``as_pair`` and
+        ``check_vertex``, so the first bad item raises their error. Like
+        ``batch_find_repr``, one loop that climbs inline; the endpoints share
+        a tour when both climbs reach the same root.
+        """
+        loops, n = self._loops, self.n
+        out = []
+        for item in queries:
+            if type(item) is tuple and len(item) == 2:
+                u, v = item
+            else:
+                u, v = as_pair(item)
+            x = loops[u if type(u) is int and 0 <= u < n else check_vertex(u, n)]
+            while x.parent is not None:
+                x = x.parent
+            y = loops[v if type(v) is int and 0 <= v < n else check_vertex(v, n)]
+            while y.parent is not None:
+                y = y.parent
+            out.append(x is y)
+        return out
 
     def component_size(self, v) -> int:
         return self._top(v).size
@@ -261,19 +299,28 @@ class EulerTourForest:
         """Add forest edges; the batch must keep the forest acyclic."""
         if not edges:
             return
-        # validate jointly before mutating anything; find_repr checks each vertex
+        # validate jointly before mutating anything; find_repr checks each
+        # vertex, and the plain ints are what the arcs are keyed by
+        n = self.n
         reprs = {}
+        pairs = []
         for u, v in edges:
-            for x in (u, v):
-                if x not in reprs:
-                    reprs[x] = self.find_repr(x)
+            if type(u) is not int:
+                u = check_vertex(u, n)
+            if u not in reprs:
+                reprs[u] = self.find_repr(u)
+            if type(v) is not int:
+                v = check_vertex(v, n)
+            if v not in reprs:
+                reprs[v] = self.find_repr(v)
+            pairs.append((u, v))
         trees = DisjointSets()
-        for u, v in edges:
+        for u, v in pairs:
             if u == v:
                 raise CycleError(f"self loop at {u}")
             if trees.union(reprs[u], reprs[v]) is None:
                 raise CycleError(f"link ({u},{v}) would close a cycle")
-        for u, v in edges:
+        for u, v in pairs:
             self._link(u, v)
 
     def batch_cut(self, edges):
@@ -281,22 +328,25 @@ class EulerTourForest:
         if not edges:
             return
         seen = set()
+        pairs = []
         for u, v in edges:
-            check_vertex(u, self.n)
-            check_vertex(v, self.n)
+            u = check_vertex(u, self.n)
+            v = check_vertex(v, self.n)
             key = (u, v) if u < v else (v, u)
             if key in seen or (u, v) not in self._arcs:
                 raise MissingEdgeError(f"({u},{v}) is not a forest edge here")
             seen.add(key)
-        for u, v in edges:
+            pairs.append((u, v))
+        for u, v in pairs:
             self._cut(u, v)
 
     def _link(self, u, v):
         uid = self._next_uid
         self._next_uid = uid + 2
         rand = self._rng.random
-        a1 = self._arcs[(u, v)] = TourNode(uid, None, (u, v), rand())
-        a2 = self._arcs[(v, u)] = TourNode(uid + 1, None, (v, u), rand())
+        arc, back = (u, v), (v, u)      # one tuple each, as key and as label
+        a1 = self._arcs[arc] = TourNode(uid, None, arc, rand())
+        a2 = self._arcs[back] = TourNode(uid + 1, None, back, rand())
         # u's tour becomes: .. lu, a1, lv .., .. before lv, a2, after lu ..
         head, rest = _split(self._loops[u], True)
         before, from_lv = _split(self._loops[v], False)
@@ -320,7 +370,7 @@ class EulerTourForest:
         """Apply (vertex, kind, delta) charge changes, batch-atomically."""
         pending = {}
         for v, kind, delta in deltas:
-            check_vertex(v, self.n)
+            v = check_vertex(v, self.n)
             pending[(v, kind)] = pending.get((v, kind), 0) + delta
         for (v, kind), delta in pending.items():
             if getattr(self._loops[v], _OWN[kind]) + delta < 0:

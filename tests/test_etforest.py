@@ -7,8 +7,14 @@ import tracemalloc
 import pytest
 
 from batchconn.adjstore import AdjacencyStore
-from batchconn.errors import CycleError, GraphError, InvalidVertexError, MissingEdgeError
-from batchconn.etforest import EulerTourForest, TourNode
+from batchconn.errors import (
+    CycleError,
+    GraphError,
+    InvalidVertexError,
+    MalformedEdgeError,
+    MissingEdgeError,
+)
+from batchconn.etforest import EulerTourForest, TourNode, as_pair, check_vertex
 
 
 class StubEdge:
@@ -400,6 +406,138 @@ def test_seeded_reproducibility():
     p1 = [f1._loops[v].prio for v in range(64)]
     p2 = [f2._loops[v].prio for v in range(64)]
     assert p1 != p2
+
+
+# ----------------------------------------------------------------------
+# batch reads against per-vertex climbs
+# ----------------------------------------------------------------------
+
+class Index:
+    """An integer that is not an ``int``, as numpy integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def reference_repr(f, v):
+    """One vertex's representative: check it, then climb to its tour's root."""
+    x = f._loops[check_vertex(v, f.n)]
+    while x.parent is not None:
+        x = x.parent
+    return x.uid
+
+
+def reference_connected(f, queries):
+    return [reference_repr(f, u) == reference_repr(f, v) for u, v in map(as_pair, queries)]
+
+
+def outcome(call, *args):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return call(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batch_reads_match_per_vertex_climbs(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(2, 65)
+    f = EulerTourForest(n, seed=seed)
+    oracle = ForestOracle(n)
+    for _ in range(300):
+        lab = oracle.labels()
+        if oracle.edges and rng.random() < 0.4:
+            cut = rng.sample(sorted(oracle.edges), rng.randrange(1, min(4, len(oracle.edges)) + 1))
+            f.batch_cut(cut)
+            for e in cut:
+                oracle.cut(*e)
+        else:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if lab[u] != lab[v]:
+                f.batch_link([(u, v)])
+                oracle.link(u, v)
+        vertices = [rng.randrange(n) for _ in range(rng.randrange(0, 12))]
+        queries = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(0, 12))]
+        assert f.batch_find_repr(vertices) == [f.find_repr(v) for v in vertices]
+        assert f.batch_find_repr(vertices) == [reference_repr(f, v) for v in vertices]
+        assert f.batch_connected(queries) == reference_connected(f, queries)
+        assert f.batch_connected(queries) == [oracle.connected(u, v) for u, v in queries]
+    assert_clean(f)
+
+
+BAD_VERTICES = [True, False, -1, 4, 1.0, "1", None]
+BAD_ITEMS = [(0, 1, 2), (0,), 3, None, "012"]
+
+
+@pytest.mark.parametrize("bad", BAD_VERTICES)
+def test_batch_reads_reject_bad_vertices_as_one_at_a_time(bad):
+    f = EulerTourForest(4, seed=3)
+    f.batch_link([(0, 1)])
+    for queries in ([(0, bad)], [(bad, 0)], [(0, 1), (2, 3), (bad, bad)]):
+        got = outcome(f.batch_connected, queries)
+        assert got == outcome(reference_connected, f, queries)
+        assert got[0] is InvalidVertexError
+    for vertices in ([bad], [0, 1, 2, bad, 3]):
+        got = outcome(f.batch_find_repr, vertices)
+        assert got == outcome(lambda vs: [reference_repr(f, v) for v in vs], vertices)
+        assert got[0] is InvalidVertexError
+
+
+@pytest.mark.parametrize("item", BAD_ITEMS)
+def test_batch_connected_rejects_malformed_items_as_one_at_a_time(item):
+    f = EulerTourForest(4, seed=3)
+    # the first bad item raises, whether a malformed item or a bad vertex
+    for queries, error in (
+        ([item], MalformedEdgeError),
+        ([(0, 1), item], MalformedEdgeError),
+        ([(0, 1), item, (0, 9)], MalformedEdgeError),
+        ([(0, 9), item], InvalidVertexError),
+    ):
+        got = outcome(f.batch_connected, queries)
+        assert got == outcome(reference_connected, f, queries)
+        assert got[0] is error
+
+
+def test_batch_reads_accept_lists_generators_and_index_integers():
+    f = EulerTourForest(6, seed=4)
+    f.batch_link([(0, 1), (1, 2), (4, 5)])
+    queries = [[0, 2], (Index(2), 1), (Index(3), Index(3)), [Index(5), 4], (0, 4)]
+    want = [True, True, True, True, False]
+    assert f.batch_connected(queries) == reference_connected(f, queries) == want
+    assert f.batch_connected(iter(queries)) == want
+    assert f.batch_connected(tuple(q) for q in queries) == want
+    vertices = [0, Index(1), 2, Index(5)]
+    assert f.batch_find_repr(vertices) == [reference_repr(f, v) for v in vertices]
+    assert f.batch_find_repr(v for v in vertices) == f.batch_find_repr(vertices)
+
+
+@pytest.mark.parametrize("link_stub, cut_stub", [(True, False), (False, True)])
+def test_links_and_cuts_key_arcs_by_plain_ints(link_stub, cut_stub):
+    def wrap(edges, stub):
+        return [(Index(u), Index(v)) for u, v in edges] if stub else edges
+
+    f = EulerTourForest(4, seed=6)
+    f.batch_link(wrap([(0, 1), (1, 2), (3, 2)], link_stub))
+    assert_clean(f)
+    assert sorted(f.edge_pairs()) == [(0, 1), (1, 2), (2, 3)]
+    assert all(type(x) is int for pair in f.edge_pairs() for x in pair)
+    f.batch_cut(wrap([(1, 0), (2, 3)], cut_stub))
+    assert_clean(f)
+    assert f.edge_pairs() == [(1, 2)]
+    assert all(type(x) is int for x in f.edge_pairs()[0])
+    assert f.batch_connected([(1, 2), (0, 1), (2, 3)]) == [True, False, False]
+
+
+def test_charge_deltas_of_one_vertex_net_out_whatever_its_integer_type():
+    f = EulerTourForest(2, seed=6)
+    f.adjust_edge_counts([(0, "nontree", 1), (Index(0), "nontree", -1)])
+    f.adjust_edge_counts([(Index(1), "tree", 2), (1, "tree", -1)])
+    assert f._loops[0].own == (0, 0, 1) and f._loops[1].own == (0, 1, 1)
+    assert_clean(f)
 
 
 # ----------------------------------------------------------------------
