@@ -70,6 +70,18 @@ class AdjacencyStore:
                 self.slot_writes += 1
         self.slot_writes += len(edges)
 
+    def take_edges(self, vertex, level, kind):
+        """Remove and return the whole array; the emptied array is dropped.
+
+        Each edge's ``pos`` loses ``vertex``, and every vacated slot counts as
+        one write.
+        """
+        arr = self._arrays.pop((vertex, level, kind), [])
+        for e in arr:
+            del e.pos[vertex]
+        self.slot_writes += len(arr)
+        return arr
+
     def fetch_edges(self, vertex, level, kind, l):
         arr = self._arrays.get((vertex, level, kind), [])
         if l > len(arr):

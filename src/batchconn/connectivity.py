@@ -14,8 +14,8 @@ Maintained invariants:
 
 A level-i edge is stored twice: in its endpoints' level-i adjacency arrays
 and in the charges of F_i. Edges enter and leave both only through F_i's
-``insert_level_edges`` and ``remove_level_edges``, which keeps the two copies
-in step.
+``insert_level_edges``, ``remove_level_edges`` and ``take_level_edges``,
+which keeps the two copies in step.
 
 Batches are validated up front and applied atomically; after an error escapes
 a validated batch, every call raises RuntimeError. Deleting tree edges
@@ -365,21 +365,25 @@ class LevelStructure:
         self.counters.record_push(new_level + 1, self._batch)
 
     def _push_tree_edges(self, i, handle):
-        """Move all level-i tree edges of handle's tree down to level i-1."""
-        fi = self.forests[i]
-        cnt = fi.num_tree_edges(handle)
-        if cnt:
-            self._push_edges(i, fi.fetch_level_edges(handle, cnt, TREE), TREE)
+        """Move all level-i tree edges of handle's tree down to level i-1.
 
-    def _push_edges(self, i, edges, kind):
-        """Move level-i edges out of their ``kind`` arrays down to level i-1.
-
-        Each edge is filed at level i-1 under its own status, and the tree
-        edges among them are linked in F_(i-1).
+        F_i's ``take_level_edges`` hands over the tree's level-i tree arrays
+        whole and zeroes their charges in one walk, and returns the edges in
+        fetch order, the order in which ``_lower`` files them at i-1.
         """
+        self._lower(i, self.forests[i].take_level_edges(handle, TREE))
+
+    def _push_edges(self, i, edges):
+        """Move level-i edges out of their non-tree arrays down to level i-1."""
+        if edges:
+            self.forests[i].remove_level_edges(edges[0].u, edges, NONTREE)
+            self._lower(i, edges)
+
+    def _lower(self, i, edges):
+        """File edges that just left level i at level i-1 under their own
+        status, and link the tree edges among them in F_(i-1)."""
         if not edges:
             return
-        self.forests[i].remove_level_edges(edges[0].u, edges, kind)
         for rec in edges:
             self._set_level(rec, i - 1)
         lower = self.forests[i - 1]
@@ -446,7 +450,7 @@ class LevelStructure:
             window = fi.fetch_level_edges(c, w_eff, NONTREE)
             repl = self._replacements(i, window)
             keys = {rec.key for rec, _, _ in repl}
-            self._push_edges(i, [rec for rec in window if rec.key not in keys], NONTREE)
+            self._push_edges(i, [rec for rec in window if rec.key not in keys])
             if repl or w_eff >= w_max:
                 return repl[:1]
             w <<= 1
@@ -574,7 +578,7 @@ class LevelStructure:
                     moved.append(h)
                 else:
                     done.append(h)
-            self._push_edges(i, list(moving.values()), NONTREE)
+            self._push_edges(i, list(moving.values()))
             active = []
             for h in moved:
                 if not fi.num_nontree_edges(h):

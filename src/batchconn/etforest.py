@@ -104,54 +104,74 @@ class TourNode:
 # treap plumbing
 # ----------------------------------------------------------------------
 
-def _pull(x):
-    """Recompute x's sums from its own charges and its children's sums."""
-    a = x.own_nontree
-    b = x.own_tree
-    c = 1 if x.arc is None else 0
-    child = x.left
-    if child is not None:
-        a += child.nontree
-        b += child.tree
-        c += child.size
-    child = x.right
-    if child is not None:
-        a += child.nontree
-        b += child.tree
-        c += child.size
-    x.nontree = a
-    x.tree = b
-    x.size = c
-
-
 def _root(x):
     while x.parent is not None:
         x = x.parent
     return x
 
 
+def _charge(x, kind, delta):
+    """Add ``delta`` to loop x's own charge of ``kind`` and to every sum above it."""
+    if kind == "tree":
+        x.own_tree += delta
+        while x is not None:
+            x.tree += delta
+            x = x.parent
+    else:
+        x.own_nontree += delta
+        while x is not None:
+            x.nontree += delta
+            x = x.parent
+
+
 def _merge(a, b):
-    """Join two treaps, every node of ``a`` before every node of ``b``."""
+    """Join two treaps, every node of ``a`` before every node of ``b``.
+
+    One loop down a's right spine and b's left spine: the current node of
+    higher priority joins the merged spine next, and since its subtree takes
+    in all that is left of the other side, it adds that side's sums on the
+    way down. Links are written only where the spine switches sides.
+    """
     if a is None:
         return b
     if b is None:
         return a
-    if a.prio > b.prio:
-        child = _merge(a.right, b)
-        a.right = child
-        child.parent = a
-        _pull(a)
-        return a
-    child = _merge(a, b.left)
-    b.left = child
-    child.parent = b
-    _pull(b)
-    return b
+    root = a if a.prio > b.prio else b
+    side = None         # the side of ``last`` that the spine goes on from
+    while True:
+        if a.prio > b.prio:
+            a.nontree += b.nontree
+            a.tree += b.tree
+            a.size += b.size
+            if side == "left":
+                last.left = a
+                a.parent = last
+            last, side, a = a, "right", a.right
+            if a is None:
+                last.right = b
+                b.parent = last
+                return root
+        else:
+            b.nontree += a.nontree
+            b.tree += a.tree
+            b.size += a.size
+            if side == "right":
+                last.right = b
+                b.parent = last
+            last, side, b = b, "left", b.left
+            if b is None:
+                last.left = a
+                a.parent = last
+                return root
 
 
 def _rise(x, left, right):
     """Finish a split at x: climb to the root, handing each ancestor with its
-    other subtree to the side it lies on. Returns both sides' roots."""
+    other subtree to the side it lies on. Returns both sides' roots.
+
+    ``left`` and ``right`` hold x's subtree, x's own counts included, so an
+    ancestor loses exactly the other side's sums, which it subtracts inline.
+    """
     child, p = x, x.parent
     while p is not None:
         up = p.parent
@@ -159,13 +179,20 @@ def _rise(x, left, right):
             p.left = right
             if right is not None:
                 right.parent = p
+            if left is not None:
+                p.nontree -= left.nontree
+                p.tree -= left.tree
+                p.size -= left.size
             right = p
         else:
             p.right = left
             if left is not None:
                 left.parent = p
+            if right is not None:
+                p.nontree -= right.nontree
+                p.tree -= right.tree
+                p.size -= right.size
             left = p
-        _pull(p)
         child, p = p, up
     if left is not None:
         left.parent = None
@@ -177,17 +204,26 @@ def _rise(x, left, right):
 def _split(x, after):
     """Split x's sequence just after x, or just before it; return both roots."""
     if after:
-        left, right = x, x.right
+        left = x
+        right = off = x.right
         x.right = None
     else:
-        left, right = x.left, x
+        left = off = x.left
+        right = x
         x.left = None
-    _pull(x)
+    if off is not None:
+        x.nontree -= off.nontree
+        x.tree -= off.tree
+        x.size -= off.size
     return _rise(x, left, right)
 
 
 def _excise(x):
-    """Take x out of its sequence; return the roots before and after it."""
+    """Take x out of its sequence; return the roots before and after it.
+
+    x must have no counts of its own, as arcs do, since ``_rise`` takes
+    only its subtrees' sums off its ancestors.
+    """
     left, right = x.left, x.right
     x.left = x.right = None
     out = _rise(x, left, right)
@@ -299,20 +335,20 @@ class EulerTourForest:
         """Add forest edges; the batch must keep the forest acyclic."""
         if not edges:
             return
-        # validate jointly before mutating anything; find_repr checks each
-        # vertex, and the plain ints are what the arcs are keyed by
-        n = self.n
+        # validate jointly before mutating anything: check each vertex, key
+        # the arcs by the plain ints, and climb once per distinct vertex
+        loops, n = self._loops, self.n
         reprs = {}
         pairs = []
         for u, v in edges:
-            if type(u) is not int:
-                u = check_vertex(u, n)
-            if u not in reprs:
-                reprs[u] = self.find_repr(u)
-            if type(v) is not int:
-                v = check_vertex(v, n)
-            if v not in reprs:
-                reprs[v] = self.find_repr(v)
+            u = u if type(u) is int and 0 <= u < n else check_vertex(u, n)
+            v = v if type(v) is int and 0 <= v < n else check_vertex(v, n)
+            for w in (u, v):
+                if w not in reprs:
+                    x = loops[w]
+                    while x.parent is not None:
+                        x = x.parent
+                    reprs[w] = x.uid
             pairs.append((u, v))
         trees = DisjointSets()
         for u, v in pairs:
@@ -347,9 +383,17 @@ class EulerTourForest:
         arc, back = (u, v), (v, u)      # one tuple each, as key and as label
         a1 = self._arcs[arc] = TourNode(uid, None, arc, rand())
         a2 = self._arcs[back] = TourNode(uid + 1, None, back, rand())
-        # u's tour becomes: .. lu, a1, lv .., .. before lv, a2, after lu ..
-        head, rest = _split(self._loops[u], True)
-        before, from_lv = _split(self._loops[v], False)
+        # u's tour becomes: .. lu, a1, lv .., .. before lv, a2, after lu ..;
+        # a one-node tour needs no split
+        lu, lv = self._loops[u], self._loops[v]
+        if lu.parent is None and lu.left is None and lu.right is None:
+            head, rest = lu, None
+        else:
+            head, rest = _split(lu, True)
+        if lv.parent is None and lv.left is None and lv.right is None:
+            before, from_lv = None, lv
+        else:
+            before, from_lv = _split(lv, False)
         _merge(_merge(_merge(_merge(_merge(head, a1), from_lv), before), a2), rest)
 
     def _cut(self, u, v):
@@ -376,19 +420,8 @@ class EulerTourForest:
             if getattr(self._loops[v], _OWN[kind]) + delta < 0:
                 raise GraphError(f"charge for vertex {v} would go negative")
         for (v, kind), delta in pending.items():
-            if not delta:
-                continue
-            x = self._loops[v]
-            if kind == "nontree":
-                x.own_nontree += delta
-                while x is not None:
-                    x.nontree += delta
-                    x = x.parent
-            else:
-                x.own_tree += delta
-                while x is not None:
-                    x.tree += delta
-                    x = x.parent
+            if delta:
+                _charge(self._loops[v], kind, delta)
 
     def fetch_level_edges(self, v, l, kind):
         """First ``l`` distinct level-matching edges of ``kind`` in v's tree.
@@ -401,35 +434,77 @@ class EulerTourForest:
         endpoints of an edge lie in the tree the distinct edges can run out
         before ``l`` does; everything available is returned in that case.
         """
-        own = _OWN[kind]
         root = self._top(v)
         available = getattr(root, kind)
         if l > available:
             raise GraphError(f"fetch of {l} exceeds available charge {available}")
-        out = []
-        if l:
-            self._collect(root, own, kind, l, out, set())
-        return out
+        return self._collect(root, kind, l) if l else []
 
-    def _collect(self, x, own, kind, need, out, seen):
-        """Add up to ``need`` unseen edges of x's subtree, in tour order; return
-        how many are still needed. Subtrees without charge are skipped."""
-        if x is None or getattr(x, kind) == 0:
-            return need
-        need = self._collect(x.left, own, kind, need, out, seen)
-        charged = getattr(x, own)
-        if need and charged:
-            for e in self._adj.fetch_edges(x.vertex, self.level, kind, charged):
-                key = (e.u, e.v)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(e)
-                    need -= 1
-                    if need == 0:
-                        return 0
-        if need:
-            need = self._collect(x.right, own, kind, need, out, seen)
-        return need
+    def _collect(self, root, kind, need):
+        """Up to ``need`` distinct edges of root's subtree, in tour order.
+
+        An in-order walk with an explicit stack that enters only subtrees
+        holding a charge of ``kind`` and stops once ``need`` edges are out.
+        """
+        own = _OWN[kind]
+        fetch, level = self._adj.fetch_edges, self.level
+        out, seen, stack, x = [], set(), [], root
+        while True:
+            while x is not None and getattr(x, kind):
+                stack.append(x)
+                x = x.left
+            if not stack:
+                return out
+            x = stack.pop()
+            charged = getattr(x, own)
+            if charged:
+                for e in fetch(x.vertex, level, kind, charged):
+                    key = (e.u, e.v)
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(e)
+                        need -= 1
+                        if not need:
+                            return out
+            x = x.right
+
+    def take_level_edges(self, v, kind):
+        """Take every level-matching edge of ``kind`` out of v's tree.
+
+        Returns the edges in ``fetch_level_edges`` order. One walk over the
+        charged part of the treap hands each charged loop's array over whole
+        (``AdjacencyStore.take_edges``, which drops the emptied array) and
+        zeroes the loop's charge and the sums above it. An edge is kept at
+        its first endpoint: once that endpoint's array is taken its ``pos``
+        still holds the other one.
+
+        Both endpoints of every such edge must lie in v's tree, as they do
+        for the engine's edges of this level, so the tree's whole charge of
+        ``kind`` goes. An edge reaching outside the tree is a GraphError,
+        raised after the take.
+        """
+        own = _OWN[kind]
+        root = self._top(v)
+        total = getattr(root, kind)
+        if not total:
+            return []
+        take, level = self._adj.take_edges, self.level
+        out, stack, x = [], [], root
+        while True:
+            while x is not None and getattr(x, kind):
+                setattr(x, kind, 0)
+                stack.append(x)
+                x = x.left
+            if not stack:
+                break
+            x = stack.pop()
+            if getattr(x, own):
+                setattr(x, own, 0)
+                out.extend([e for e in take(x.vertex, level, kind) if e.pos])
+            x = x.right
+        if 2 * len(out) != total:
+            raise GraphError(f"a {kind} edge of vertex {v}'s tree reaches outside it")
+        return out
 
     def _runs(self, edges):
         """Group level-matching edges into per-endpoint runs, in edge order."""
@@ -447,14 +522,18 @@ class EulerTourForest:
         """Store level-matching edges in both endpoints' arrays and charge them.
 
         Each endpoint's array receives its edges in the given order, so the
-        arrays end up as if the edges had been inserted one at a time.
+        arrays end up as if the edges had been inserted one at a time, and
+        each endpoint's charge rises by its run's length in one climb.
         """
         if not edges:
             return
-        runs = self._runs(edges)
-        for vertex, run in runs.items():
-            self._adj.insert_edges(vertex, self.level, kind, run)
-        self.adjust_edge_counts([(vertex, kind, len(run)) for vertex, run in runs.items()])
+        if kind not in _OWN:
+            raise KeyError(kind)
+        loops, n, level = self._loops, self.n, self.level
+        for vertex, run in self._runs(edges).items():
+            x = loops[vertex if type(vertex) is int and 0 <= vertex < n else check_vertex(vertex, n)]
+            self._adj.insert_edges(vertex, level, kind, run)
+            _charge(x, kind, len(run))
 
     def remove_level_edges(self, v, edges, kind):
         """Drop level-matching edges from the adjacency arrays and charges.

@@ -157,3 +157,55 @@ def test_random_script_vs_set_oracle():
         assert set(got) == members
     # one write per insert, at most two per delete
     assert store.slot_writes <= 2 * ops
+
+
+def test_take_hands_over_the_whole_array_and_drops_it():
+    store = AdjacencyStore()
+    edges = [StubEdge(0, i) for i in (1, 2, 3)]
+    store.insert_edges(0, 1, "tree", edges)
+    for e in edges:
+        store.insert_edges(e.v, 1, "tree", [e])
+    writes = store.slot_writes
+    assert store.take_edges(0, 1, "tree") == edges
+    assert store.slot_writes == writes + 3
+    assert store.count(0, 1, "tree") == 0
+    assert (0, 1, "tree") not in dict(store.arrays())
+    assert [e.pos for e in edges] == [{1: 0}, {2: 0}, {3: 0}]
+    assert store.take_edges(0, 1, "tree") == []
+    assert store.slot_writes == writes + 3
+    assert store.audit() == []
+
+
+def test_random_script_with_takes_keeps_the_write_bound():
+    rng = random.Random(43)
+    store = AdjacencyStore()
+    live = {}     # (vertex, level, kind) -> live edges
+    keys = [(v, lvl, kind) for v in range(6) for lvl in (1, 2) for kind in ("tree", "nontree")]
+    ops = 0
+    for step in range(5_000):
+        key = keys[rng.randrange(len(keys))]
+        edges = live.setdefault(key, [])
+        r = rng.random()
+        if not edges or r < 0.5:
+            batch = [StubEdge(key[0], rng.randrange(1000), key[1]) for _ in range(rng.randrange(1, 4))]
+            store.insert_edges(*key, batch)
+            edges.extend(batch)
+            ops += len(batch)
+        elif r < 0.85:
+            batch = rng.sample(edges, rng.randrange(1, min(4, len(edges)) + 1))
+            store.delete_edges(*key, batch)
+            for e in batch:
+                edges.remove(e)
+            ops += len(batch)
+        else:
+            got = store.take_edges(*key)
+            assert set(got) == set(edges) and len(got) == len(edges)
+            assert all(key[0] not in e.pos for e in got)
+            ops += len(got)
+            edges.clear()
+        if step % 500 == 0:
+            assert store.audit() == []
+    for key, edges in live.items():
+        assert set(store.fetch_edges(*key, store.count(*key))) == set(edges)
+    # one write per insert or taken edge, at most two per delete
+    assert store.slot_writes <= 2 * ops

@@ -1,7 +1,9 @@
 import contextlib
 import gc
+import itertools
 import random
 import signal
+import sys
 import tracemalloc
 
 import pytest
@@ -276,8 +278,9 @@ def max_depth(forest):
 
 
 def test_long_path_keeps_treaps_shallow():
-    # _merge and _collect recurse once per treap level, so the depth must
-    # stay far below the interpreter's recursion limit
+    # nothing recurses (see the next test), but every kernel walks a root
+    # path or a spine, so the random priorities must keep a long path's
+    # treap shallow for links, cuts and fetches to stay fast
     n = 1 << 15
     f, store = forest_with_store(n, seed=15)
     for v in range(n - 1):
@@ -289,6 +292,24 @@ def test_long_path_keeps_treaps_shallow():
     assert f.component_size(0) == 2
     assert_clean(f)
     assert max_depth(f) <= 100
+
+
+def test_nothing_recurses_on_a_path_deep_treap():
+    # every new arc outranks every loop but none of the arcs before it, so
+    # the path's tour treap is a chain about as deep as the tour is long,
+    # far past the interpreter's recursion limit
+    n = 3000
+    f, store = forest_with_store(n, seed=4)
+    draws = itertools.count()
+    f._rng.random = lambda: 2.0 - next(draws) * 1e-6
+    f.batch_link([(v, v + 1) for v in range(n - 1)])
+    assert max_depth(f) > 2 * sys.getrecursionlimit()
+    edges = [StubEdge(v, v + 2) for v in range(n - 2)]
+    f.insert_level_edges(edges, "nontree")
+    assert f.fetch_level_edges(0, 2 * (n - 2), "nontree") == edges
+    f.batch_cut([(v, v + 1) for v in range(0, n - 1, 2)])
+    assert [f.component_size(v) for v in (0, 1, 2, n - 1)] == [1, 2, 2, 1]
+    assert_clean(f)
 
 
 def test_cut_arcs_are_freed_by_reference_counting():
@@ -774,3 +795,84 @@ def test_grouped_insert_matches_per_edge_inserts():
         return arrays_and_charges(f, store), fetched
 
     assert build(grouped=True) == build(grouped=False)
+
+
+# ----------------------------------------------------------------------
+# takes: a tree's whole charge of one kind in one walk
+# ----------------------------------------------------------------------
+
+def random_forest_with_edges(seed, n=48, level=2):
+    """A seeded forest with a store: several random trees, and edges of both
+    kinds whose endpoints share a tree, as the engine's level-i edges do.
+    Returns the forest, the store and each vertex's tree label."""
+    rng = random.Random(seed)
+    f, store = forest_with_store(n, level=level, seed=seed)
+    oracle = ForestOracle(n)
+    for _ in range(n // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if not oracle.connected(u, v):
+            f.batch_link([(u, v)])
+            oracle.link(u, v)
+    lab = oracle.labels()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if lab[u] == lab[v]]
+    for kind in ("tree", "nontree"):
+        f.insert_level_edges([StubEdge(u, v, level) for u, v in pairs if rng.random() < 0.5], kind)
+    return f, store, lab
+
+
+def arrays_and_charges_except(f, store, lab, tree, kind):
+    """Every (vertex, kind) array's edges and loop charge, but those of
+    ``kind`` in the tree labelled ``tree``."""
+    out = {}
+    for x in range(f.n):
+        for k, i in (("nontree", 0), ("tree", 1)):
+            if (lab[x], k) != (tree, kind):
+                arr = store.fetch_edges(x, f.level, k, store.count(x, f.level, k))
+                out[x, k] = [(e.u, e.v) for e in arr], f._loops[x].own[i]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_take_returns_the_full_fetch_and_empties_only_that_tree_and_kind(seed):
+    f, store, lab = random_forest_with_edges(seed)
+    totals = {"tree": f.num_tree_edges, "nontree": f.num_nontree_edges}
+    taken = 0
+    for kind in ("tree", "nontree"):
+        for tree in sorted(set(lab)):
+            v = max(x for x in range(f.n) if lab[x] == tree)
+            count = totals[kind](v)
+            want = f.fetch_level_edges(v, count, kind)
+            rest = arrays_and_charges_except(f, store, lab, tree, kind)
+            got = f.take_level_edges(v, kind)
+            assert got == want and 2 * len(got) == count
+            assert totals[kind](v) == 0
+            for x in range(f.n):
+                if lab[x] == tree:
+                    assert store.count(x, f.level, kind) == 0
+                    assert (x, f.level, kind) not in dict(store.arrays())
+            assert all(e.pos == {} for e in got)
+            assert arrays_and_charges_except(f, store, lab, tree, kind) == rest
+            assert_clean(f)
+            assert store.audit() == []
+            taken += bool(got)
+    assert taken >= 4
+
+
+def test_take_without_charge_changes_nothing():
+    f, store, _ = random_forest_with_edges(7)
+    f.take_level_edges(0, "tree")
+    lonely = [v for v in range(f.n) if f.component_size(v) == 1]
+    assert lonely
+    before = forest_state(f), arrays_and_charges(f, store), store.slot_writes
+    assert f.take_level_edges(0, "tree") == []
+    for v in lonely:
+        assert f.take_level_edges(v, "tree") == f.take_level_edges(v, "nontree") == []
+    assert (forest_state(f), arrays_and_charges(f, store), store.slot_writes) == before
+
+
+def test_take_of_an_edge_reaching_outside_the_tree_raises():
+    f, store = forest_with_store(4)
+    f.batch_link([(0, 1)])
+    register(f, store, 0, 2, "nontree")
+    with pytest.raises(GraphError):
+        f.take_level_edges(1, "nontree")
