@@ -1,12 +1,14 @@
 """Per-(vertex, level, kind) edge arrays with run insert/delete and prefix fetch.
 
-Each array is a plain list. Every stored edge object carries a ``pos`` dict
-mapping each of its endpoints to its index in that endpoint's list, kept
-correct by every operation. A delete moves the list's last edge into the
-hole, so each edge costs O(1) element writes to insert or delete.
+Each array is an insertion-ordered dict keyed by the edge objects, with
+``None`` values, so membership, insert and delete are O(1) per edge and a
+fetch reads a prefix in insertion order. Survivors of a delete keep that
+order, whatever order the deletions ran in.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .errors import DuplicateEdgeError, GraphError, MissingEdgeError
 
@@ -14,9 +16,8 @@ from .errors import DuplicateEdgeError, GraphError, MissingEdgeError
 class AdjacencyStore:
     """All adjacency arrays of one level structure, created lazily.
 
-    ``slot_writes`` counts element writes (one per inserted edge, one per
-    edge moved into a hole, one per vacated tail slot) so tests can check the
-    O(1)-per-edge accounting.
+    ``slot_writes`` counts one write per edge that enters or leaves an array,
+    so tests can check the O(1)-per-edge accounting.
     """
 
     def __init__(self):
@@ -26,80 +27,67 @@ class AdjacencyStore:
     def count(self, vertex, level, kind) -> int:
         return len(self._arrays.get((vertex, level, kind), ()))
 
+    def check_runs(self, level, kind, runs, stored):
+        """Raise unless, for each ``(vertex, edges)`` pair of ``runs``, the
+        edges are distinct and each is stored for ``vertex`` (``stored``) or
+        none is: a repeated or stored edge is a DuplicateEdgeError, a missing
+        one a MissingEdgeError. Checking every run first keeps a batch atomic."""
+        arrays = self._arrays
+        for vertex, edges in runs:
+            arr = arrays.get((vertex, level, kind), ())
+            for e in edges:
+                if (e in arr) is not stored:
+                    if stored:
+                        raise MissingEdgeError(
+                            f"edge ({e.u},{e.v}) not present for vertex {vertex} at level {level}"
+                        )
+                    raise DuplicateEdgeError(
+                        f"edge ({e.u},{e.v}) already stored for vertex {vertex}"
+                    )
+            if len(edges) > 1 and len(set(edges)) != len(edges):
+                raise DuplicateEdgeError(f"repeated edge in run for vertex {vertex}")
+
     def insert_edges(self, vertex, level, kind, edges):
-        """Append ``edges`` in order; none may already be stored for ``vertex``."""
+        """Append ``edges`` in order; the run is rejected without any change
+        if an edge repeats or is already stored for ``vertex``."""
         if not edges:
             return
+        key = (vertex, level, kind)
+        arr = self._arrays.get(key)
+        # a one-edge run, the common case, needs only its membership test
+        if len(edges) > 1 or (arr and edges[0] in arr):
+            self.check_runs(level, kind, ((vertex, edges),), False)
+        if arr is None:
+            arr = self._arrays[key] = {}
         for e in edges:
-            if vertex in e.pos:
-                raise DuplicateEdgeError(
-                    f"edge ({e.u},{e.v}) already stored for vertex {vertex}"
-                )
-        arr = self._arrays.setdefault((vertex, level, kind), [])
-        for e in edges:
-            e.pos[vertex] = len(arr)
-            arr.append(e)
+            arr[e] = None
         self.slot_writes += len(edges)
 
     def delete_edges(self, vertex, level, kind, edges):
-        """Remove ``edges`` one at a time in the given order.
-
-        Each removal moves the array's last edge into the hole, so the order
-        fixes the survivors' slots. The whole run is validated first: a
-        missing or repeated edge rejects it without any change.
-        """
+        """Remove ``edges``; the run is rejected without any change if an
+        edge repeats or is not stored for ``vertex``."""
         if not edges:
             return
         arr = self._arrays.get((vertex, level, kind), ())
-        positions = set()
+        if len(edges) > 1 or edges[0] not in arr:
+            self.check_runs(level, kind, ((vertex, edges),), True)
         for e in edges:
-            p = e.pos.get(vertex)
-            if p is None or p >= len(arr) or arr[p] is not e:
-                raise MissingEdgeError(
-                    f"edge ({e.u},{e.v}) not present for vertex {vertex} at level {level}"
-                )
-            positions.add(p)
-        if len(positions) != len(edges):
-            raise DuplicateEdgeError("repeated edge in delete run")
-        for e in edges:
-            hole = e.pos.pop(vertex)
-            last = arr.pop()
-            if last is not e:
-                arr[hole] = last
-                last.pos[vertex] = hole
-                self.slot_writes += 1
+            del arr[e]
         self.slot_writes += len(edges)
 
     def take_edges(self, vertex, level, kind):
-        """Remove and return the whole array; the emptied array is dropped.
-
-        Each edge's ``pos`` loses ``vertex``, and every vacated slot counts as
-        one write.
-        """
-        arr = self._arrays.pop((vertex, level, kind), [])
-        for e in arr:
-            del e.pos[vertex]
+        """Remove and return the whole array as a list; the emptied array is
+        dropped."""
+        arr = self._arrays.pop((vertex, level, kind), ())
         self.slot_writes += len(arr)
-        return arr
+        return list(arr)
 
     def fetch_edges(self, vertex, level, kind, l):
-        arr = self._arrays.get((vertex, level, kind), [])
+        arr = self._arrays.get((vertex, level, kind), ())
         if l > len(arr):
             raise GraphError(f"fetch of {l} edges from array holding {len(arr)}")
-        return arr[:l]
+        return list(islice(arr, l))
 
     def arrays(self):
-        """Yield ((vertex, level, kind), list of edges) pairs; read only."""
+        """Yield ((vertex, level, kind), dict of edges) pairs; read only."""
         return self._arrays.items()
-
-    def audit(self):
-        """Return a list of back-index violations (empty if clean)."""
-        problems = []
-        for key, arr in self._arrays.items():
-            for i, e in enumerate(arr):
-                if e.pos.get(key[0]) != i:
-                    problems.append(
-                        f"back-index: edge ({e.u},{e.v}) slot {i} of {key} "
-                        f"records {e.pos.get(key[0])}"
-                    )
-        return problems

@@ -53,16 +53,15 @@ NONTREE = "nontree"
 
 
 class EdgeRecord:
-    """One live undirected edge: canonical endpoints, level, status, slots."""
+    """One live undirected edge: canonical endpoints, level, status, level history."""
 
-    __slots__ = ("u", "v", "level", "status", "pos", "levels_seen")
+    __slots__ = ("u", "v", "level", "status", "levels_seen")
 
     def __init__(self, u, v, level, status):
         self.u = u
         self.v = v
         self.level = level
         self.status = status
-        self.pos = {}
         self.levels_seen = [level]
 
     @property
@@ -310,8 +309,7 @@ class LevelStructure:
             if not keys:
                 return
             self.edges.apply([("delete", k) for k in keys])
-            # drop adjacency entries and charges at each edge's own level;
-            # grouping keeps every array's deletions in batch order
+            # drop adjacency entries and charges at each edge's own level
             by_level = {}
             for rec in records:
                 by_level.setdefault((rec.level, rec.status), []).append(rec)
@@ -646,12 +644,12 @@ class LevelStructure:
         for i in range(1, self.levels + 1):
             for problem in self.forests[i].audit():
                 failures.append(f"forest {i}: {problem}")
-        # adjacency arrays: back-indices and membership (each forest checks
-        # its charges against them above)
-        for problem in self.adj.audit():
-            failures.append(problem)
+        # adjacency arrays: membership (each forest checks its charges
+        # against them above)
+        filed = set()
         for (vertex, level, kind), arr in self.adj.arrays():
             for rec in arr:
+                filed.add((rec, vertex))
                 if rec.level != level or rec.status != kind or vertex not in (rec.u, rec.v):
                     failures.append(
                         f"arrays: edge {rec.key} misfiled under {(vertex, level, kind)}"
@@ -660,7 +658,7 @@ class LevelStructure:
                     failures.append(f"arrays: stale edge {rec.key}")
         for rec in recs:
             for vertex in (rec.u, rec.v):
-                if rec.pos.get(vertex) is None:
+                if (rec, vertex) not in filed:
                     failures.append(f"arrays: edge {rec.key} missing from vertex {vertex}")
         # per-edge level monotonicity and the global push bound
         for rec in recs:

@@ -427,7 +427,7 @@ class EulerTourForest:
         """First ``l`` distinct level-matching edges of ``kind`` in v's tree.
 
         Order is canonical: tour order of charged vertex loops from the tour's
-        first node, then adjacency slot order within a loop. The sequence
+        first node, then insertion order within a loop's array. The sequence
         depends only on the links and cuts made, so neither the seed nor
         queries change it, and repeated calls without intervening mutations
         return the same prefix. Charges are per endpoint, so when both
@@ -459,9 +459,8 @@ class EulerTourForest:
             charged = getattr(x, own)
             if charged:
                 for e in fetch(x.vertex, level, kind, charged):
-                    key = (e.u, e.v)
-                    if key not in seen:
-                        seen.add(key)
+                    if e not in seen:
+                        seen.add(e)
                         out.append(e)
                         need -= 1
                         if not need:
@@ -475,8 +474,7 @@ class EulerTourForest:
         charged part of the treap hands each charged loop's array over whole
         (``AdjacencyStore.take_edges``, which drops the emptied array) and
         zeroes the loop's charge and the sums above it. An edge is kept at
-        its first endpoint: once that endpoint's array is taken its ``pos``
-        still holds the other one.
+        the first of its endpoints that the walk reaches.
 
         Both endpoints of every such edge must lie in v's tree, as they do
         for the engine's edges of this level, so the tree's whole charge of
@@ -489,7 +487,7 @@ class EulerTourForest:
         if not total:
             return []
         take, level = self._adj.take_edges, self.level
-        out, stack, x = [], [], root
+        out, seen, stack, x = [], set(), [], root
         while True:
             while x is not None and getattr(x, kind):
                 setattr(x, kind, 0)
@@ -500,14 +498,21 @@ class EulerTourForest:
             x = stack.pop()
             if getattr(x, own):
                 setattr(x, own, 0)
-                out.extend([e for e in take(x.vertex, level, kind) if e.pos])
+                for e in take(x.vertex, level, kind):
+                    if e not in seen:
+                        seen.add(e)
+                        out.append(e)
             x = x.right
         if 2 * len(out) != total:
             raise GraphError(f"a {kind} edge of vertex {v}'s tree reaches outside it")
         return out
 
-    def _runs(self, edges):
-        """Group level-matching edges into per-endpoint runs, in edge order."""
+    def _runs(self, edges, kind, stored):
+        """Group level-matching edges into per-endpoint runs, in edge order,
+        each checked (``check_vertex``, ``AdjacencyStore.check_runs``) before
+        any is returned, so writing them one by one keeps the batch atomic."""
+        if kind not in _OWN:
+            raise KeyError(kind)
         runs = {}
         for e in edges:
             if e.level != self.level:
@@ -516,6 +521,11 @@ class EulerTourForest:
                 )
             runs.setdefault(e.u, []).append(e)
             runs.setdefault(e.v, []).append(e)
+        n = self.n
+        for vertex in runs:
+            if not (type(vertex) is int and 0 <= vertex < n):
+                check_vertex(vertex, n)
+        self._adj.check_runs(self.level, kind, runs.items(), stored)
         return runs
 
     def insert_level_edges(self, edges, kind):
@@ -523,32 +533,30 @@ class EulerTourForest:
 
         Each endpoint's array receives its edges in the given order, so the
         arrays end up as if the edges had been inserted one at a time, and
-        each endpoint's charge rises by its run's length in one climb.
+        each endpoint's charge rises by its run's length in one climb. An
+        edge that repeats or is already stored rejects the batch unchanged.
         """
         if not edges:
             return
-        if kind not in _OWN:
-            raise KeyError(kind)
-        loops, n, level = self._loops, self.n, self.level
-        for vertex, run in self._runs(edges).items():
-            x = loops[vertex if type(vertex) is int and 0 <= vertex < n else check_vertex(vertex, n)]
-            self._adj.insert_edges(vertex, level, kind, run)
-            _charge(x, kind, len(run))
+        insert, loops, level = self._adj.insert_edges, self._loops, self.level
+        for vertex, run in self._runs(edges, kind, False).items():
+            insert(vertex, level, kind, run)
+            _charge(loops[vertex], kind, len(run))
 
     def remove_level_edges(self, v, edges, kind):
         """Drop level-matching edges from the adjacency arrays and charges.
 
         ``v`` is unused. Each endpoint gets one ``delete_edges`` call for its
-        run, which removes the edges one at a time in the given order, each
-        moving the array's last edge into the hole, so the order fixes the
-        survivors' slots. Charges change by one delta per endpoint.
+        run, and its charge falls by the run's length in one climb; the
+        survivors keep their insertion order. An edge that repeats or is not
+        stored rejects the batch unchanged.
         """
         if not edges:
             return
-        runs = self._runs(edges)
-        for vertex, run in runs.items():
-            self._adj.delete_edges(vertex, self.level, kind, run)
-        self.adjust_edge_counts([(vertex, kind, -len(run)) for vertex, run in runs.items()])
+        delete, loops, level = self._adj.delete_edges, self._loops, self.level
+        for vertex, run in self._runs(edges, kind, True).items():
+            delete(vertex, level, kind, run)
+            _charge(loops[vertex], kind, -len(run))
 
     # ------------------------------------------------------------------
     # structural audits (test support)

@@ -7,15 +7,14 @@ from batchconn.errors import DuplicateEdgeError, GraphError, MissingEdgeError
 
 
 class StubEdge:
-    """Minimal edge record: endpoints plus the back-index dict."""
+    """Minimal edge record: endpoints and level, hashed by identity."""
 
-    __slots__ = ("u", "v", "pos", "level")
+    __slots__ = ("u", "v", "level")
 
     def __init__(self, u, v, level=1):
         self.u = u
         self.v = v
         self.level = level
-        self.pos = {}
 
     def __repr__(self):
         return f"E({self.u},{self.v})"
@@ -52,16 +51,24 @@ def test_duplicate_insert_rejected():
         store.insert_edges(0, 1, "nontree", [e])
 
 
-def test_delete_middle_keeps_back_indices():
+def test_repeated_edge_in_insert_run_rejected_without_change():
+    store = AdjacencyStore()
+    e = StubEdge(0, 1)
+    with pytest.raises(DuplicateEdgeError):
+        store.insert_edges(0, 1, "nontree", [e, e])
+    assert store.count(0, 1, "nontree") == 0
+    assert dict(store.arrays()) == {}
+    assert store.slot_writes == 0
+
+
+def test_delete_middle_keeps_the_survivors_in_order():
     store = AdjacencyStore()
     edges = [StubEdge(0, i) for i in (1, 2, 3)]
     store.insert_edges(0, 1, "nontree", edges)
     store.delete_edges(0, 1, "nontree", [edges[1]])
     assert store.count(0, 1, "nontree") == 2
-    assert store.audit() == []
-    left = store.fetch_edges(0, 1, "nontree", 2)
-    assert set(left) == {edges[0], edges[2]}
-    assert edges[1].pos == {}
+    assert store.fetch_edges(0, 1, "nontree", 2) == [edges[0], edges[2]]
+    assert edges[1] not in dict(store.arrays())[0, 1, "nontree"]
 
 
 def test_delete_all():
@@ -70,7 +77,8 @@ def test_delete_all():
     store.insert_edges(0, 1, "nontree", edges)
     store.delete_edges(0, 1, "nontree", list(edges))
     assert store.count(0, 1, "nontree") == 0
-    assert store.audit() == []
+    assert store.fetch_edges(0, 1, "nontree", 0) == []
+    assert not any(e in arr for arr in dict(store.arrays()).values() for e in edges)
 
 
 def test_delete_missing_rejected():
@@ -83,19 +91,20 @@ def test_delete_missing_rejected():
         store.delete_edges(3, 1, "nontree", [e1])
 
 
-def test_delete_moves_last_edge_into_hole():
+def test_delete_order_does_not_change_the_survivors():
     def stored(runs):
         store = AdjacencyStore()
-        edges = [StubEdge(0, i) for i in range(1, 6)]
+        edges = [StubEdge(0, i) for i in range(1, 7)]
         store.insert_edges(0, 1, "nontree", edges)
         for run in runs:
             store.delete_edges(0, 1, "nontree", [edges[j] for j in run])
-        assert store.audit() == []
-        return [e.v for e in store.fetch_edges(0, 1, "nontree", 3)]
+        arrays = {key: [e.v for e in arr] for key, arr in store.arrays()}
+        return arrays, [e.v for e in store.fetch_edges(0, 1, "nontree", 3)]
 
-    # e2 leaves: e5 fills slot 1; e1 leaves: e4 fills slot 0
-    assert stored([[1], [0]]) == [4, 5, 3]
-    assert stored([[1, 0]]) == [4, 5, 3]
+    # the survivors keep their insertion order however the deletions run
+    want = ({(0, 1, "nontree"): [1, 3, 6]}, [1, 3, 6])
+    for runs in ([[1, 3, 4]], [[4, 3, 1]], [[3], [1], [4]], [[4], [1, 3]], [[3, 4], [1]]):
+        assert stored(runs) == want
 
 
 @pytest.mark.parametrize("bad", ["missing", "repeated"])
@@ -105,13 +114,11 @@ def test_rejected_delete_run_changes_nothing(bad):
     store.insert_edges(0, 1, "nontree", edges)
     stray = StubEdge(0, 9)
     run = [edges[1], edges[0], stray] if bad == "missing" else [edges[1], edges[0], edges[1]]
-    before = [dict(e.pos) for e in edges]
     writes = store.slot_writes
     with pytest.raises(MissingEdgeError if bad == "missing" else DuplicateEdgeError):
         store.delete_edges(0, 1, "nontree", run)
     assert store.fetch_edges(0, 1, "nontree", 5) == edges
-    assert [e.pos for e in edges] == before
-    assert stray.pos == {}
+    assert list(dict(store.arrays())) == [(0, 1, "nontree")]
     assert store.slot_writes == writes
 
 
@@ -125,7 +132,7 @@ def test_fetch_beyond_count_rejected():
 def test_random_script_vs_set_oracle():
     rng = random.Random(42)
     store = AdjacencyStore()
-    shadow = {}   # (vertex, level, kind) -> set of edges
+    shadow = {}   # (vertex, level, kind) -> edges in insertion order
     pool = {}     # live edges per key, as a list for sampling
     keys = [(v, lvl, kind) for v in range(6) for lvl in (1, 2) for kind in ("tree", "nontree")]
     ops = 0
@@ -135,7 +142,7 @@ def test_random_script_vs_set_oracle():
         if not live or rng.random() < 0.55:
             batch = [StubEdge(key[0], rng.randrange(1000), key[1]) for _ in range(rng.randrange(1, 4))]
             store.insert_edges(key[0], key[1], key[2], batch)
-            shadow.setdefault(key, set()).update(batch)
+            shadow.setdefault(key, {}).update(dict.fromkeys(batch))
             live.extend(batch)
             ops += len(batch)
         else:
@@ -143,20 +150,16 @@ def test_random_script_vs_set_oracle():
             batch = rng.sample(live, take)
             store.delete_edges(key[0], key[1], key[2], batch)
             for e in batch:
-                shadow[key].remove(e)
+                del shadow[key][e]
                 live.remove(e)
             ops += len(batch)
         if step % 500 == 0:
-            assert store.audit() == []
             for k, members in shadow.items():
-                got = store.fetch_edges(k[0], k[1], k[2], store.count(*k))
-                assert set(got) == members
-    assert store.audit() == []
+                assert store.fetch_edges(k[0], k[1], k[2], store.count(*k)) == list(members)
     for k, members in shadow.items():
-        got = store.fetch_edges(k[0], k[1], k[2], store.count(*k))
-        assert set(got) == members
-    # one write per insert, at most two per delete
-    assert store.slot_writes <= 2 * ops
+        assert store.fetch_edges(k[0], k[1], k[2], store.count(*k)) == list(members)
+    # one write per inserted or deleted edge
+    assert store.slot_writes == ops
 
 
 def test_take_hands_over_the_whole_array_and_drops_it():
@@ -170,16 +173,15 @@ def test_take_hands_over_the_whole_array_and_drops_it():
     assert store.slot_writes == writes + 3
     assert store.count(0, 1, "tree") == 0
     assert (0, 1, "tree") not in dict(store.arrays())
-    assert [e.pos for e in edges] == [{1: 0}, {2: 0}, {3: 0}]
+    assert [store.fetch_edges(e.v, 1, "tree", 1) for e in edges] == [[e] for e in edges]
     assert store.take_edges(0, 1, "tree") == []
     assert store.slot_writes == writes + 3
-    assert store.audit() == []
 
 
 def test_random_script_with_takes_keeps_the_write_bound():
     rng = random.Random(43)
     store = AdjacencyStore()
-    live = {}     # (vertex, level, kind) -> live edges
+    live = {}     # (vertex, level, kind) -> live edges in insertion order
     keys = [(v, lvl, kind) for v in range(6) for lvl in (1, 2) for kind in ("tree", "nontree")]
     ops = 0
     for step in range(5_000):
@@ -198,14 +200,11 @@ def test_random_script_with_takes_keeps_the_write_bound():
                 edges.remove(e)
             ops += len(batch)
         else:
-            got = store.take_edges(*key)
-            assert set(got) == set(edges) and len(got) == len(edges)
-            assert all(key[0] not in e.pos for e in got)
-            ops += len(got)
+            assert store.take_edges(*key) == edges
+            assert store.count(*key) == 0 and key not in dict(store.arrays())
+            ops += len(edges)
             edges.clear()
-        if step % 500 == 0:
-            assert store.audit() == []
     for key, edges in live.items():
-        assert set(store.fetch_edges(*key, store.count(*key))) == set(edges)
-    # one write per insert or taken edge, at most two per delete
-    assert store.slot_writes <= 2 * ops
+        assert store.fetch_edges(*key, store.count(*key)) == edges
+    # one write per inserted, deleted or taken edge
+    assert store.slot_writes == ops

@@ -339,7 +339,9 @@ def test_only_level_forests_file_edges(monkeypatch, strategy):
             s.batch_delete(pairs)
         else:
             s.batch_connected(pairs)
-    assert set(calls) == {"adjust_edge_counts", "insert_edges", "delete_edges"}
+    # the forests charge each endpoint run with one climb of their own, so
+    # the engine reaches adjust_edge_counts no more
+    assert set(calls) == {"insert_edges", "delete_edges"}
     assert s.counters.pushes > 0
     report = s.audit()
     assert report.ok, report.failures[:4]
@@ -798,21 +800,21 @@ def test_determinism_same_seed_same_counters():
 
 
 PINNED = {
-    "simple": {"P": 15741, "search_calls": 21487, "phases": 1146, "rounds": 846},
-    "interleaved": {"P": 16015, "search_calls": 21709, "doubling_checks": 167, "rounds": 886},
+    "simple": {"P": 15904, "search_calls": 21412, "phases": 1152, "rounds": 844},
+    "interleaved": {"P": 16134, "search_calls": 21765, "doubling_checks": 150, "rounds": 882},
 }
 
 # SHA-256 over every tour's (uid, own) sequence, levels in order
 PINNED_TOURS = {
-    "simple": "0af96cd3afa6d86b700b6980b20d1b358d4c9845ae700aea6154c3aa3c07d317",
-    "interleaved": "4bcd4210e10a431ba94e12e32fd8fb6987185dc67703d03543f6ee204012be6b",
+    "simple": "588aaf74e50db01a55daf9348d5ab05a85ad838b901f65a09f22ade55cfbb04f",
+    "interleaved": "4a64d8ebed7be40feae655aa490e5c096ee1c61cf806576fd318313fe001bfd6",
 }
 
-# SHA-256 over every non-empty adjacency array's slot order and every edge's
+# SHA-256 over every non-empty adjacency array's order and every edge's
 # (level, status, levels_seen)
 PINNED_ARRAYS = {
-    "simple": "2e7719822e9b79d4b45abd8de115d3a2c26b1292b462550e85fc2d4d7a25d32f",
-    "interleaved": "3f9f25f52118e33c732ee72d8acb9f931761e248de09724970ac715759654d03",
+    "simple": "b1a67da5d8c97a5898d12a8fcdcb775454f89e8a1c3de10bc6254483f83415bb",
+    "interleaved": "acc9010064f0568eafcfd82a70bfb0da75364dd81f35e165a8361fcc1c02df3f",
 }
 
 
@@ -840,7 +842,7 @@ def tour_sequences(s):
 
 
 def array_state(s):
-    """Every non-empty adjacency array's slot order, then every edge's level,
+    """Every non-empty adjacency array's order, then every edge's level,
     status and level history."""
     arrays = sorted((key, [rec.key for rec in arr]) for key, arr in s.adj.arrays() if arr)
     edges = [(key, rec.level, rec.status, rec.levels_seen) for key, rec in sorted(s.edges.items())]
@@ -862,7 +864,7 @@ def fetch_orders(s):
 @pytest.mark.parametrize("strategy", sorted(PINNED))
 def test_pinned_counters(strategy):
     # the fetch order, and with it every push, follows the tour sequences and
-    # the adjacency arrays' slot order; these values pin that order on a
+    # the adjacency arrays' order; these values pin that order on a
     # mixed workload. The perfbench workloads never reach the simple
     # strategy's window phases, so this is what pins them.
     s, _ = run_pinned_workload(strategy, 3)
@@ -872,7 +874,7 @@ def test_pinned_counters(strategy):
     # and the tour sequences themselves, with every loop's charges
     digest = hashlib.sha256(repr(tour_sequences(s)).encode())
     assert digest.hexdigest() == PINNED_TOURS[strategy]
-    # and the adjacency arrays' slot order with every edge's level history
+    # and the adjacency arrays' order with every edge's level history
     digest = hashlib.sha256(repr(array_state(s)).encode())
     assert digest.hexdigest() == PINNED_ARRAYS[strategy]
 
@@ -894,7 +896,7 @@ def test_pinned_workload_does_not_depend_on_the_structure_seed(strategy):
 
 def state_snapshot(s):
     """Everything a batch may change, as text: every edge's key, level, status
-    and history, every adjacency array's slot order, every tour's (uid, own)
+    and history, every adjacency array's order, every tour's (uid, own)
     sequence, which holds every loop's charges, the counters and the array
     write count."""
     return repr((array_state(s), tour_sequences(s), s.counters.snapshot(), s.adj.slot_writes))

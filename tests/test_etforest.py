@@ -11,6 +11,7 @@ import pytest
 from batchconn.adjstore import AdjacencyStore
 from batchconn.errors import (
     CycleError,
+    DuplicateEdgeError,
     GraphError,
     InvalidVertexError,
     MalformedEdgeError,
@@ -20,13 +21,12 @@ from batchconn.etforest import EulerTourForest, TourNode, as_pair, check_vertex
 
 
 class StubEdge:
-    __slots__ = ("u", "v", "pos", "level")
+    __slots__ = ("u", "v", "level")
 
     def __init__(self, u, v, level=1):
         self.u = u
         self.v = v
         self.level = level
-        self.pos = {}
 
 
 class ForestOracle:
@@ -738,8 +738,39 @@ def test_insert_wrong_level_rejected_without_change():
     with pytest.raises(GraphError):
         f.insert_level_edges([good, bad], "nontree")
     assert arrays_and_charges(f, store) == before
-    assert good.pos == {} and bad.pos == {}
     assert_clean(f)
+
+
+def test_rejected_level_filing_changes_nothing():
+    f, store = forest_with_store(4)
+    f.batch_link([(0, 1), (1, 2)])
+    a = register(f, store, 0, 2, "nontree")
+    before = forest_state(f), arrays_and_charges(f, store), store.slot_writes
+    # b was never filed: vertices 0 and 2 come before b's endpoints
+    b = StubEdge(1, 3)
+    with pytest.raises(MissingEdgeError):
+        f.remove_level_edges(0, [a, b], "nontree")
+    assert (forest_state(f), arrays_and_charges(f, store), store.slot_writes) == before
+    assert f.audit() == []
+    # a is filed already: d's endpoints come before a's
+    d = StubEdge(1, 3)
+    with pytest.raises(DuplicateEdgeError):
+        f.insert_level_edges([d, a], "nontree")
+    assert (forest_state(f), arrays_and_charges(f, store), store.slot_writes) == before
+    assert f.audit() == []
+
+
+@pytest.mark.parametrize("kind", ["tree", "nontree"])
+def test_repeated_edge_in_one_run_rejected_without_change(kind):
+    f, store = forest_with_store(4)
+    f.batch_link([(0, 1), (1, 2)])
+    register(f, store, 0, 2, "nontree")
+    before = forest_state(f), arrays_and_charges(f, store), store.slot_writes
+    e = StubEdge(1, 2)
+    with pytest.raises(DuplicateEdgeError):
+        f.insert_level_edges([e, e], kind)
+    assert (forest_state(f), arrays_and_charges(f, store), store.slot_writes) == before
+    assert f.audit() == []
 
 
 def test_grouped_insert_matches_per_edge_inserts():
@@ -783,7 +814,6 @@ def test_grouped_insert_matches_per_edge_inserts():
                 store.delete_edges(e.v, 3, kind, [e])
                 f.adjust_edge_counts([(e.u, kind, -1), (e.v, kind, -1)])
         assert_clean(f)
-        assert store.audit() == []
         states.append(state(f, store))
         return states
 
@@ -850,10 +880,9 @@ def test_take_returns_the_full_fetch_and_empties_only_that_tree_and_kind(seed):
                 if lab[x] == tree:
                     assert store.count(x, f.level, kind) == 0
                     assert (x, f.level, kind) not in dict(store.arrays())
-            assert all(e.pos == {} for e in got)
+            assert not any(e in arr for arr in dict(store.arrays()).values() for e in got)
             assert arrays_and_charges_except(f, store, lab, tree, kind) == rest
             assert_clean(f)
-            assert store.audit() == []
             taken += bool(got)
     assert taken >= 4
 
