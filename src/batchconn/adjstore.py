@@ -4,6 +4,11 @@ Each array is an insertion-ordered dict keyed by the edge objects, with
 ``None`` values, so membership, insert and delete are O(1) per edge and a
 fetch reads a prefix in insertion order. Survivors of a delete keep that
 order, whatever order the deletions ran in.
+
+``check_runs`` is the one gate on the run rules (distinct edges, each stored
+or none stored). ``insert_edges`` and ``delete_edges`` are plain writers that
+assume a run has passed it; a caller checks all its runs first and then
+writes them, so a rejected batch changes nothing.
 """
 
 from __future__ import annotations
@@ -48,15 +53,13 @@ class AdjacencyStore:
                 raise DuplicateEdgeError(f"repeated edge in run for vertex {vertex}")
 
     def insert_edges(self, vertex, level, kind, edges):
-        """Append ``edges`` in order; the run is rejected without any change
-        if an edge repeats or is already stored for ``vertex``."""
+        """Append ``edges`` in order. A plain writer: the run must have
+        passed ``check_runs`` with ``stored=False``, so its edges are
+        distinct and none is stored for ``vertex``."""
         if not edges:
             return
         key = (vertex, level, kind)
         arr = self._arrays.get(key)
-        # a one-edge run, the common case, needs only its membership test
-        if len(edges) > 1 or (arr and edges[0] in arr):
-            self.check_runs(level, kind, ((vertex, edges),), False)
         if arr is None:
             arr = self._arrays[key] = {}
         for e in edges:
@@ -64,13 +67,12 @@ class AdjacencyStore:
         self.slot_writes += len(edges)
 
     def delete_edges(self, vertex, level, kind, edges):
-        """Remove ``edges``; the run is rejected without any change if an
-        edge repeats or is not stored for ``vertex``."""
+        """Remove ``edges``. A plain writer: the run must have passed
+        ``check_runs`` with ``stored=True``, so its edges are distinct and
+        each is stored for ``vertex``."""
         if not edges:
             return
-        arr = self._arrays.get((vertex, level, kind), ())
-        if len(edges) > 1 or edges[0] not in arr:
-            self.check_runs(level, kind, ((vertex, edges),), True)
+        arr = self._arrays[vertex, level, kind]
         for e in edges:
             del arr[e]
         self.slot_writes += len(edges)

@@ -286,14 +286,13 @@ class LevelStructure:
             records = [EdgeRecord(u, v, top, NONTREE) for u, v in edges]
             # the new tree edges are a spanning forest of the edges that join
             # different trees of F_L, as a level search selects its replacements
-            repl = self._replacements(top, records)
-            for j in spanning_forest([(ru, rv) for _, ru, rv in repl]):
-                repl[j][0].status = TREE
+            tree = self._select(self._replacements(top, records))
             self.edges.apply([("insert", rec.key, rec) for rec in records])
             # F_L files each status group; every array gets its edges in batch order
             for status, run in semisort([(rec.status, rec) for rec in records]).items():
                 fl.insert_level_edges(run, status)
-            fl.batch_link([rec.key for rec in records if rec.status == TREE])
+            for rec in tree:
+                fl.link(rec.u, rec.v)
 
     # ------------------------------------------------------------------
     # deletion
@@ -389,7 +388,8 @@ class LevelStructure:
         lower.insert_level_edges([rec for rec in edges if rec.status == NONTREE], NONTREE)
         if tree:
             lower.insert_level_edges(tree, TREE)
-            lower.batch_link([rec.key for rec in tree])
+            for rec in tree:
+                lower.link(rec.u, rec.v)
 
     def _adopt(self, i, selected):
         """Turn replacements selected at level i (already marked ``TREE``) into
@@ -402,9 +402,19 @@ class LevelStructure:
         if still:
             fi.remove_level_edges(still[0].u, still, NONTREE)
             fi.insert_level_edges(still, TREE)
-        keys = [rec.key for rec in selected]
         for j in range(i, self.levels + 1):
-            self.forests[j].batch_link(keys)
+            for rec in selected:
+                self.forests[j].link(rec.u, rec.v)
+
+    def _select(self, repl):
+        """Mark a spanning forest of ``(edge, repr_u, repr_v)`` triples as
+        ``TREE`` and return its edges in triple order: edges between different
+        trees, no two of which close a cycle, so the caller links them with
+        ``EulerTourForest.link`` unchecked."""
+        selected = [repl[j][0] for j in spanning_forest([(ru, rv) for _, ru, rv in repl])]
+        for rec in selected:
+            rec.status = TREE
+        return selected
 
     def _replacements(self, i, window):
         """``(edge, repr_u, repr_v)`` for the edges whose endpoints lie in
@@ -485,12 +495,7 @@ class LevelStructure:
             for h in active:
                 replacements.extend(self.component_search(i, h))
             if replacements:
-                selected = []
-                for j in spanning_forest([(ru, rv) for _, ru, rv in replacements]):
-                    rec = replacements[j][0]
-                    rec.status = TREE
-                    selected.append(rec)
-                self._adopt(i, selected)
+                self._adopt(i, self._select(replacements))
             survivors = []
             for h in self._group_components(i, active).values():
                 if fi.component_size(h) > half or fi.num_nontree_edges(h) == 0:

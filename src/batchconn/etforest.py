@@ -332,7 +332,14 @@ class EulerTourForest:
         return [(u, v) for (u, v) in self._arcs if u < v]
 
     def batch_link(self, edges):
-        """Add forest edges; the batch must keep the forest acyclic."""
+        """Add forest edges; the batch must keep the forest acyclic.
+
+        The checked entry for callers outside the engine: each vertex is
+        checked, and a self loop or a link that would close a cycle, within
+        the batch or with the forest, is a CycleError raised before any
+        link. The engine's links come from spanning forests it has just
+        selected over different trees, so it calls ``link`` directly.
+        """
         if not edges:
             return
         # validate jointly before mutating anything: check each vertex, key
@@ -357,7 +364,7 @@ class EulerTourForest:
             if trees.union(reprs[u], reprs[v]) is None:
                 raise CycleError(f"link ({u},{v}) would close a cycle")
         for u, v in pairs:
-            self._link(u, v)
+            self.link(u, v)
 
     def batch_cut(self, edges):
         """Remove forest edges; all must currently be linked."""
@@ -376,7 +383,13 @@ class EulerTourForest:
         for u, v in pairs:
             self._cut(u, v)
 
-    def _link(self, u, v):
+    def link(self, u, v):
+        """Link the trees of u and v by the edge {u, v}, unchecked.
+
+        u and v must be plain ints in [0, n) that lie in different trees;
+        ``batch_link`` is the checked entry. A bad link breaks the tours,
+        which ``audit`` reports.
+        """
         uid = self._next_uid
         self._next_uid = uid + 2
         rand = self._rng.random

@@ -48,14 +48,15 @@ def test_duplicate_insert_rejected():
     e = StubEdge(0, 1)
     store.insert_edges(0, 1, "nontree", [e])
     with pytest.raises(DuplicateEdgeError):
-        store.insert_edges(0, 1, "nontree", [e])
+        store.check_runs(1, "nontree", [(0, [e])], False)
+    store.check_runs(1, "nontree", [(0, [StubEdge(0, 2)])], False)
 
 
 def test_repeated_edge_in_insert_run_rejected_without_change():
     store = AdjacencyStore()
     e = StubEdge(0, 1)
     with pytest.raises(DuplicateEdgeError):
-        store.insert_edges(0, 1, "nontree", [e, e])
+        store.check_runs(1, "nontree", [(0, [e, e])], False)
     assert store.count(0, 1, "nontree") == 0
     assert dict(store.arrays()) == {}
     assert store.slot_writes == 0
@@ -86,9 +87,12 @@ def test_delete_missing_rejected():
     e1, e2 = StubEdge(0, 1), StubEdge(0, 2)
     store.insert_edges(0, 1, "nontree", [e1])
     with pytest.raises(MissingEdgeError):
-        store.delete_edges(0, 1, "nontree", [e2])
+        store.check_runs(1, "nontree", [(0, [e2])], True)
     with pytest.raises(MissingEdgeError):
-        store.delete_edges(3, 1, "nontree", [e1])
+        store.check_runs(1, "nontree", [(3, [e1])], True)
+    with pytest.raises(MissingEdgeError):
+        store.check_runs(2, "nontree", [(0, [e1])], True)
+    store.check_runs(1, "nontree", [(0, [e1])], True)
 
 
 def test_delete_order_does_not_change_the_survivors():
@@ -116,9 +120,45 @@ def test_rejected_delete_run_changes_nothing(bad):
     run = [edges[1], edges[0], stray] if bad == "missing" else [edges[1], edges[0], edges[1]]
     writes = store.slot_writes
     with pytest.raises(MissingEdgeError if bad == "missing" else DuplicateEdgeError):
-        store.delete_edges(0, 1, "nontree", run)
+        store.check_runs(1, "nontree", [(0, run)], True)
     assert store.fetch_edges(0, 1, "nontree", 5) == edges
     assert list(dict(store.arrays())) == [(0, 1, "nontree")]
+    assert store.slot_writes == writes
+
+
+# what check_runs makes of a run holding a stored, a missing or a repeated
+# edge, per value of ``stored``; None means the run passes
+CHECKS = {
+    (False, "stored"): DuplicateEdgeError,
+    (False, "missing"): None,
+    (False, "repeated"): DuplicateEdgeError,
+    (True, "stored"): None,
+    (True, "missing"): MissingEdgeError,
+    (True, "repeated"): DuplicateEdgeError,
+}
+
+
+@pytest.mark.parametrize("stored, case", sorted(CHECKS))
+def test_check_runs_gates_every_run_and_writes_nothing(stored, case):
+    store = AdjacencyStore()
+    a, b = [StubEdge(0, 1), StubEdge(0, 2)], [StubEdge(1, 2), StubEdge(1, 3)]
+    store.insert_edges(0, 1, "tree", a)
+    store.insert_edges(1, 1, "tree", b)
+    fresh = StubEdge(1, 5)
+    # the first run is sound for ``stored``; the case's edge sits in the
+    # second, whose other edges are sound too
+    first = [(0, a if stored else [StubEdge(0, 4)])]
+    sound = b[0] if stored else fresh
+    second = {"stored": [b[1]], "missing": [fresh], "repeated": [sound, sound]}[case]
+    before = {key: list(arr) for key, arr in store.arrays()}
+    writes = store.slot_writes
+    error = CHECKS[stored, case]
+    if error is None:
+        assert store.check_runs(1, "tree", first + [(1, second)], stored) is None
+    else:
+        with pytest.raises(error):
+            store.check_runs(1, "tree", first + [(1, second)], stored)
+    assert {key: list(arr) for key, arr in store.arrays()} == before
     assert store.slot_writes == writes
 
 

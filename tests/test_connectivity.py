@@ -302,34 +302,56 @@ def test_internal_error_mid_batch_refuses_further_use(monkeypatch):
 @pytest.mark.parametrize("strategy", ["simple", "interleaved"])
 def test_only_level_forests_file_edges(monkeypatch, strategy):
     """Arrays and charges change only inside a forest's insert_level_edges
-    and remove_level_edges, which keep an edge's two copies in step."""
+    and remove_level_edges, which keep an edge's two copies in step; each
+    filing checks its runs with one check_runs call, and the engine links
+    its selected spanning forests without batch_link's second check."""
     depth = [0]
     calls = {}
+    checks = []     # (edges filed, check_runs calls) per filing
+    longest = [0]   # the longest run check_runs saw
 
     def filing(fn):
-        def wrapped(*args, **kwargs):
+        def wrapped(self, *args):
             depth[0] += 1
+            before = calls.get("check_runs", 0)
             try:
-                return fn(*args, **kwargs)
+                return fn(self, *args)
             finally:
                 depth[0] -= 1
+                # both filings take the edges second to last
+                checks.append((len(args[-2]), calls.get("check_runs", 0) - before))
         return wrapped
 
-    def guarded(fn):
+    def counted(fn):
         def wrapped(*args, **kwargs):
-            assert depth[0], f"{fn.__name__} called outside a level forest's filing"
             calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
             return fn(*args, **kwargs)
         return wrapped
 
+    def guarded(fn):
+        fn = counted(fn)
+
+        def wrapped(*args, **kwargs):
+            assert depth[0], f"{fn.__name__} called outside a level forest's filing"
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def check_runs(self, level, kind, runs, stored):
+        runs = list(runs)
+        longest[0] = max([longest[0]] + [len(edges) for _, edges in runs])
+        return original_check(self, level, kind, runs, stored)
+
+    original_check = AdjacencyStore.check_runs
     for owner, name, wrap in (
         (EulerTourForest, "insert_level_edges", filing),
         (EulerTourForest, "remove_level_edges", filing),
         (EulerTourForest, "adjust_edge_counts", guarded),
+        (EulerTourForest, "batch_link", counted),
         (AdjacencyStore, "insert_edges", guarded),
         (AdjacencyStore, "delete_edges", guarded),
     ):
         monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    monkeypatch.setattr(AdjacencyStore, "check_runs", guarded(check_runs))
     script = generate(96, 150, 4, mix=(0.5, 0.35, 0.15), seed=5)
     s = LevelStructure(96, seed=5, strategy=strategy)
     for kind, pairs in script.batches:
@@ -340,8 +362,13 @@ def test_only_level_forests_file_edges(monkeypatch, strategy):
         else:
             s.batch_connected(pairs)
     # the forests charge each endpoint run with one climb of their own, so
-    # the engine reaches adjust_edge_counts no more
-    assert set(calls) == {"insert_edges", "delete_edges"}
+    # the engine reaches adjust_edge_counts no more, and it links through
+    # EulerTourForest.link, never batch_link
+    assert set(calls) == {"insert_edges", "delete_edges", "check_runs"}
+    # one gate per filing, runs of several edges included
+    assert longest[0] > 1
+    assert {c for filed, c in checks if filed} == {1}
+    assert {c for filed, c in checks if not filed} <= {0}
     assert s.counters.pushes > 0
     report = s.audit()
     assert report.ok, report.failures[:4]
